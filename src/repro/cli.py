@@ -7,9 +7,10 @@ Subcommands:
 * ``sweep`` — run a (benchmark × scheme) grid over a worker pool, with an
   optional persistent on-disk result cache (``--jobs`` / ``--cache-dir``).
 * ``figures`` — regenerate the paper's figures (Figure 1/6/7/8 + ablation).
-* ``bench`` — perf baseline: time the event-driven scheduler against the
-  per-cycle reference loop on the figure6 sweep, verify bit-identical
-  stats, and write/compare ``BENCH_figure6.json``.
+* ``bench`` — perf baseline: time the event-driven scheduler on the
+  figure6 sweep, verify bit-identical stats against one run of the
+  per-cycle reference loop per pair, and write/compare
+  ``BENCH_figure6.json``.
 * ``attack`` — run the Spectre v1 gadget against every configuration.
 * ``trace`` — run with the pipeline tracer and print an instruction
   timeline (Konata-style, in text).
@@ -127,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time the event-driven core against the per-cycle reference "
-             "loop on the figure6 sweep, verifying bit-identical stats",
+        help="time the event-driven core on the figure6 sweep, verifying "
+             "bit-identical stats against the per-cycle reference loop",
     )
     bench.add_argument(
         "--quick", action="store_true",
@@ -151,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--samples", type=int, default=None,
-        help="timing samples per (pair, mode); the recorded wall is the "
-             "best (default 3)",
+        help="timing samples per pair; the recorded wall is the best "
+             "(default 3)",
     )
     bench.add_argument(
         "--fail-on-regression", action="store_true",
@@ -494,18 +495,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     profile = "quick" if args.quick else "full"
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-    print(f"benchmarking the {profile} profile (event-driven vs per-cycle "
-          f"reference loop; stats verified bit-identical per pair; "
-          f"best of {samples} samples)")
-    print(f"{'benchmark':<14}{'scheme':<9}{'sim-IPS':>10}{'speedup':>9}"
-          f"{'cyc/step':>10}")
+    print(f"benchmarking the {profile} profile (event-driven loop, best "
+          f"of {samples} samples; stats verified bit-identical against "
+          f"the per-cycle reference loop per pair)")
+    print(f"{'benchmark':<14}{'scheme':<9}{'sim-IPS':>10}{'cyc/step':>10}")
     fragment = run_bench(profile, progress=print, samples=samples)
     totals = fragment["totals"]
     print(
         f"\n{totals['pairs']} pairs: {totals['sim_ips']:.0f} aggregate "
-        f"sim-IPS, {totals['speedup']:.2f}x vs reference loop, "
-        f"{totals['cycles_per_step']:.1f} cycles/step "
-        f"({totals['wall_event']:.1f}s vs {totals['wall_reference']:.1f}s)"
+        f"sim-IPS, {totals['cycles_per_step']:.1f} cycles/step "
+        f"({totals['wall_event']:.1f}s)"
     )
     if args.compare is not None:
         threshold = (

@@ -57,7 +57,6 @@ class InterferenceInjector:
                 core.inject_invalidation(event.address)
                 self.injected += 1
             core.step()
-        core.stats.cycles = core.cycle
         return core.stats
 
 

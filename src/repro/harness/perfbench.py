@@ -1,37 +1,36 @@
 """Performance baseline for the event-driven scheduler (``repro bench``).
 
 Times the figure6 sweep — every workload profile under the unsafe
-baseline and the scheme grid — twice per (benchmark, scheme) pair: once
-with the event-driven loop (``idle_skip=True``, the default) and once
-with the per-cycle reference loop (``idle_skip=False``, the pre-existing
-tick shape that visits every pipeline phase every cycle).  Each pair is
-**differentially verified**: the two runs must produce bit-identical
-:class:`~repro.common.stats.SimStats`, cycles included, or the bench
-aborts with :class:`StatsMismatchError`.  A baseline that traded
-correctness for speed is worthless.
+baseline and the scheme grid — with the event-driven loop
+(``idle_skip=True``, the default).  Each pair is also run once, untimed,
+with the per-cycle reference loop (``idle_skip=False``, every pipeline
+phase visited every cycle) and **differentially verified**: the two runs
+must produce bit-identical :class:`~repro.common.stats.SimStats`, cycles
+included, or the bench aborts with :class:`StatsMismatchError`.  A
+baseline that traded correctness for speed is worthless.
 
 The output is a JSON document (checked in as ``BENCH_figure6.json``)
 with one record per pair — simulated instructions, cycles, scheduler
-steps, wall-clock for both loops, simulated instructions per wall
-second, and the event/reference speedup — plus aggregate totals.  Wall
+steps, wall-clock, simulated instructions per wall second, and simulated
+cycles per step (the idle-skip leverage) — plus aggregate totals.  Wall
 times are machine-dependent; the checked-in numbers document the shape
 of the win (step reduction, where skipping pays) rather than absolute
 throughput, and ``compare_baselines`` applies a generous tolerance.
 
 Each pair's wall time is the **best of N samples** (default
-``DEFAULT_SAMPLES``), every sample a fresh core over the same program.
-A single cold sample conflates simulator throughput with allocator
-warm-up, CPU frequency ramp, and scheduling noise — observed spread
-between the first and best sample of an identical run exceeds 2x on an
-idle container, which is larger than any optimization this baseline is
-meant to defend.  The minimum is the right estimator for a
+``DEFAULT_SAMPLES``), every sample a fresh event-driven core over the
+same program.  A single cold sample conflates simulator throughput with
+allocator warm-up, CPU frequency ramp, and scheduling noise — observed
+spread between the first and best sample of an identical run exceeds 2x
+on an idle container, which is larger than any optimization this
+baseline is meant to defend.  The minimum is the right estimator for a
 deterministic workload: noise is strictly additive, so the smallest
 sample is the closest observation of the true cost.  N is recorded in
 the baseline's environment block (``timing_samples``) so a baseline
 measured under a different policy is visibly incomparable.  Every
-sample must produce bit-identical stats (cross-sample determinism plus
-the event/reference equivalence), so more samples also means more
-differential coverage, not just less noise.
+sample must produce bit-identical stats (cross-sample determinism), so
+more samples also means more differential coverage, not just less
+noise.
 
 This module lives in the harness, outside the simulator's determinism
 scope, so wall-clock access is legitimate here and nowhere deeper.
@@ -59,7 +58,7 @@ DEFAULT_BASELINE = "BENCH_figure6.json"
 #: Warn when sim-IPS drops by more than this fraction vs the baseline.
 DEFAULT_REGRESSION_THRESHOLD = 0.20
 
-#: Timing samples per (pair, mode); the recorded wall is the minimum.
+#: Timing samples per pair; the recorded wall is the minimum.
 DEFAULT_SAMPLES = 3
 
 
@@ -97,7 +96,7 @@ def bench_profiles() -> Dict[str, BenchProfile]:
 
 @dataclass
 class BenchRecord:
-    """Timing of one (benchmark, scheme) pair in both loop modes."""
+    """Timing of one (benchmark, scheme) pair on the event-driven loop."""
 
     benchmark: str
     scheme: str
@@ -105,26 +104,22 @@ class BenchRecord:
     cycles: int         # identical in both modes (verified)
     steps: int          # event-driven scheduler iterations
     wall_event: float   # seconds, event-driven loop
-    wall_reference: float  # seconds, per-cycle reference loop
     sim_ips: float      # instructions / wall_event
-    speedup: float      # wall_reference / wall_event
     cycles_per_step: float  # skip leverage: simulated cycles per step
 
 
 def _timed_run(program, scheme: str, config: SystemConfig,
-               instructions: int, idle_skip: bool) -> Tuple[Core, float]:
-    core = Core(program, make_scheme(scheme), config=config,
-                idle_skip=idle_skip)
+               instructions: int) -> Tuple[Core, float]:
+    core = Core(program, make_scheme(scheme), config=config)
     start = time.perf_counter()
     core.run(max_instructions=instructions)
     return core, time.perf_counter() - start
 
 
 def _sampled_run(program, benchmark: str, scheme: str, config: SystemConfig,
-                 instructions: int, idle_skip: bool,
-                 samples: int) -> Tuple[Core, float]:
-    """Best-of-``samples`` timing of one (pair, mode); returns the last
-    core and the minimum wall time.
+                 instructions: int, samples: int) -> Tuple[Core, float]:
+    """Best-of-``samples`` timing of one pair on the event-driven loop;
+    returns the last core and the minimum wall time.
 
     The simulator is deterministic, so every sample must agree on
     SimStats bit-for-bit — a cross-sample divergence means hidden
@@ -135,8 +130,7 @@ def _sampled_run(program, benchmark: str, scheme: str, config: SystemConfig,
     core: Optional[Core] = None
     first_stats = None
     for _ in range(samples):
-        core, wall = _timed_run(program, scheme, config, instructions,
-                                idle_skip)
+        core, wall = _timed_run(program, scheme, config, instructions)
         if wall < best:
             best = wall
         stats = core.stats.as_dict()
@@ -149,8 +143,8 @@ def _sampled_run(program, benchmark: str, scheme: str, config: SystemConfig,
             }
             raise StatsMismatchError(
                 f"({benchmark}, {scheme}): identical runs diverged across "
-                f"timing samples (idle_skip={idle_skip}) — the simulator "
-                f"is leaking state between runs: {diffs}"
+                f"timing samples — the simulator is leaking state between "
+                f"runs: {diffs}"
             )
     return core, best
 
@@ -162,18 +156,19 @@ def bench_pair(
     config: Optional[SystemConfig] = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> BenchRecord:
-    """Time one pair in both modes and verify stats equivalence."""
+    """Time one pair on the event-driven loop and verify it against one
+    untimed run of the per-cycle reference loop."""
     if config is None:
         config = default_config()
     if samples < 1:
         raise ReproError(f"bench needs at least one timing sample, got {samples}")
     program = build_workload(benchmark)
     event, wall_event = _sampled_run(
-        program, benchmark, scheme, config, instructions, True, samples
+        program, benchmark, scheme, config, instructions, samples
     )
-    reference, wall_reference = _sampled_run(
-        program, benchmark, scheme, config, instructions, False, samples
-    )
+    reference = Core(program, make_scheme(scheme), config=config,
+                     idle_skip=False)
+    reference.run(max_instructions=instructions)
     a, b = event.stats.as_dict(), reference.stats.as_dict()
     if a != b:
         diffs = {k: (a[k], b[k]) for k in a if a[k] != b[k]}
@@ -190,16 +185,13 @@ def bench_pair(
         cycles=event.stats.cycles,
         steps=steps,
         wall_event=round(wall_event, 4),
-        wall_reference=round(wall_reference, 4),
         sim_ips=round(committed / wall_event, 1) if wall_event > 0 else 0.0,
-        speedup=round(wall_reference / wall_event, 3) if wall_event > 0 else 0.0,
         cycles_per_step=round(event.stats.cycles / steps, 2) if steps else 0.0,
     )
 
 
 def _totals(records: Sequence[BenchRecord]) -> Dict[str, float]:
     wall_event = sum(r.wall_event for r in records)
-    wall_reference = sum(r.wall_reference for r in records)
     instructions = sum(r.instructions for r in records)
     cycles = sum(r.cycles for r in records)
     steps = sum(r.steps for r in records)
@@ -209,9 +201,7 @@ def _totals(records: Sequence[BenchRecord]) -> Dict[str, float]:
         "cycles": cycles,
         "steps": steps,
         "wall_event": round(wall_event, 3),
-        "wall_reference": round(wall_reference, 3),
         "sim_ips": round(instructions / wall_event, 1) if wall_event else 0.0,
-        "speedup": round(wall_reference / wall_event, 3) if wall_event else 0.0,
         "cycles_per_step": round(cycles / steps, 2) if steps else 0.0,
     }
 
@@ -241,7 +231,7 @@ def run_bench(
                 r = records[-1]
                 progress(
                     f"{benchmark:<14}{scheme:<9}{r.sim_ips:>10.0f}"
-                    f"{r.speedup:>9.2f}{r.cycles_per_step:>10.1f}"
+                    f"{r.cycles_per_step:>10.1f}"
                 )
     return {
         "profile": profile,

@@ -6,7 +6,7 @@ the same (benchmark × scheme) grid the perf baseline uses:
 * **Stage accounting** (default) — wall-clock per pipeline phase
   (`_writeback`, `_commit`, `_issue`, `_dispatch`, ...), measured by
   wrapping the phase methods on the :class:`Core` *class* before any core
-  is constructed.  The event loop binds phase methods late (at loop
+  is constructed.  The scheduling loop binds phase methods late (at loop
   entry) precisely so these wrappers are picked up; installing them on
   the class rather than per instance keeps the timed region identical to
   what ``repro bench`` measures.  This answers "which phase should the
@@ -43,9 +43,9 @@ from repro.harness.perfbench import (
 )
 from repro.pipeline.core import Core
 
-#: The pipeline phases the event loop visits, in loop order.  These are
-#: the exact names ``Core._run_event_loop`` binds at entry; wrapping them
-#: on the class is sufficient to capture every phase invocation in both
+#: The pipeline phases the scheduling loop visits, in loop order.  These
+#: are the exact names ``Core._loop`` binds at entry; wrapping them on the
+#: class is sufficient to capture every phase invocation in both
 #: idle_skip modes.
 STAGE_METHODS = (
     "_writeback",
@@ -66,8 +66,9 @@ class StageAccounting:
     timing wrappers and accumulates per-stage wall seconds and calls.
 
     Must be entered *before* the profiled cores are constructed: the
-    wrappers live on the class, and the event loop resolves phase methods
-    through the instance (falling back to the class) at ``run()`` time.
+    wrappers live on the class, and the scheduling loop resolves phase
+    methods through the instance (falling back to the class) at
+    ``run()`` time.
     """
 
     def __init__(self) -> None:

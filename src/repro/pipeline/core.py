@@ -171,14 +171,14 @@ class Core:
         self._last_commit_cycle = 0
         # Step bookkeeping: the watchdog counts *steps* since the last
         # commit (cycle deltas would misread an idle-skip jump over a long
-        # miss as starvation), and run() needs the cycle of the last step
-        # actually executed to report a budget-break cycle count that does
+        # miss as starvation), and the loop's exit needs the cycle of the
+        # last step actually executed to report a cycle count that does
         # not depend on how far the trailing jump overshot.
         self._step_count = 0
         self._last_commit_step = 0
         self._last_step_cycle = 0
 
-        # Hot-path config, hoisted once: step() and its phases run millions
+        # Hot-path config, hoisted once: the loop and its phases run millions
         # of times and the frozen-dataclass attribute chain is measurable.
         core_cfg = self.config.core
         self._decode_width = core_cfg.decode_width
@@ -251,20 +251,7 @@ class Core:
     # Public API
     # ==================================================================
     def run(self, max_instructions: Optional[int] = None) -> SimStats:
-        """Simulate until the program halts (or the budget is reached).
-
-        In event-driven mode the per-step scheduling logic of
-        :meth:`step` is inlined here with the hot structures bound to
-        locals — a step is executed millions of times and the repeated
-        ``self.X`` lookups are a measurable fraction of total wall time.
-        The inlined body and :meth:`step` must stay semantically
-        identical; the reference loop (``idle_skip=False``) and the
-        differential suites pin that equivalence.
-        """
-        limit = self.config.max_cycles
-        watchdog = self.watchdog
-        window = watchdog.window if watchdog is not None else 0
-        stats = self.stats
+        """Simulate until the program halts (or the budget is reached)."""
         # Suspend the cyclic GC for the duration of the loop: a run
         # allocates one MicroOp (plus event tuples) per fetched
         # instruction, which drives generation-0 collections at a rate
@@ -278,53 +265,42 @@ class Core:
         if gc_was_enabled:
             gc.disable()
         try:
-            if not self._idle_skip:
-                while not self.halted:
-                    if max_instructions is not None and (
-                        stats.committed_instructions >= max_instructions
-                    ):
-                        break
-                    if self.cycle >= limit:
-                        raise SimulationLimitError(
-                            f"{self.program.name}: exceeded {limit} cycles"
-                        )
-                    if (
-                        watchdog is not None
-                        and self._step_count - self._last_commit_step > window
-                    ):
-                        watchdog.trip(self)
-                    self.step()
-            else:
-                self._run_event_loop(max_instructions, limit, watchdog, window)
+            self._loop(max_instructions, False)
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if self.halted:
-            stats.cycles = self.cycle
-        else:
-            # Budget break: the trailing _next_cycle may already have
-            # jumped the clock deep into an idle stretch nothing will
-            # observe.  Report the cycle after the last step that actually
-            # ran, which is what a non-skipping loop would read — so the
-            # count is independent of idle skipping.
-            stats.cycles = self._last_step_cycle + 1
-        return stats
+        return self.stats
+
+    def step(self) -> None:
+        """Run exactly one iteration of :meth:`run`'s scheduling loop,
+        cycle-limit and watchdog checks included (a no-op once halted)."""
+        self._loop(None, True)
 
     # repro: hot
-    def _run_event_loop(
-        self,
-        max_instructions: Optional[int],
-        limit: int,
-        watchdog,
-        window: int,
-    ) -> None:
-        """The event-driven scheduler loop (idle_skip=True), inlined.
+    def _loop(self, max_instructions: Optional[int], once: bool) -> None:
+        """The scheduling loop: the only place that writes the phase order.
 
-        One iteration == one :meth:`step` preceded by the budget, cycle-
-        limit, and watchdog checks of :meth:`run` — the same order as the
-        reference path, so both modes trip limits at identical points.
+        Each iteration checks the instruction budget, the cycle limit and
+        the watchdog, runs the phases oldest pipeline stage first, and
+        advances the clock; ``once`` stops after one iteration.  With
+        ``idle_skip`` on (the default) each phase runs behind a cheap
+        activity guard — an idle phase costs one truth test — and the
+        clock jumps over provably idle stretches.  With ``idle_skip=False``
+        the same body is the per-cycle reference loop: every phase is
+        visited every cycle and the clock always advances by one.  Every
+        phase is a no-op when its queues are empty, so the guards are
+        purely an optimization, and the reference mode pins that claim:
+        both modes must produce bit-identical :class:`SimStats`.
+
+        The hot structures are bound to locals: an iteration runs millions
+        of times and repeated ``self.X`` lookups are a measurable fraction
+        of total wall time.
         """
         stats = self.stats
+        limit = self.config.max_cycles
+        watchdog = self.watchdog
+        window = watchdog.window if watchdog is not None else 0
+        every = not self._idle_skip  # reference mode: no phase guards
         event_cycles = self._event_cycles
         waiters = self._frontier_waiters
         ready = self._ready
@@ -350,7 +326,7 @@ class Core:
         budget = max_instructions if max_instructions is not None else -1
         while not self.halted:
             if budget >= 0 and stats.committed_instructions >= budget:
-                return
+                break
             now = self.cycle
             if now >= limit:
                 raise SimulationLimitError(
@@ -363,26 +339,26 @@ class Core:
                 watchdog.trip(self)
             self._step_count = step_count + 1
             self._last_step_cycle = now
-            if event_cycles and event_cycles[0] <= now:
+            if every or (event_cycles and event_cycles[0] <= now):
                 writeback(now)
-            if waiters:
+            if every or waiters:
                 process_frontier(now)
-            if rob:
-                state = rob[0].state
-                if state == 2 or state == 3:
-                    commit(now)
-                    if self.halted:
-                        return
-            if ready:
+            if every or (rob and rob[0].state in (2, 3)):  # head completed
+                commit(now)
+                if self.halted:
+                    break
+            if every or ready:
                 issue(now)
             ports = load_ports
-            if mem_queue or mem_retry or forward_retry:
+            if every or mem_queue or mem_retry or forward_retry:
                 ports = schedule_memory(now, ports)
-            if engine is not None and engine.has_candidates():
+            if engine is not None and (every or engine.has_candidates()):
                 ports = engine.issue_spare(ports, now)
-            if prefetch_queue and ports > 0:
+            if every or (prefetch_queue and ports > 0):
                 issue_prefetches(now, ports)
-            if not self.fetch_halted and now >= self.fetch_stalled_until:
+            if every or (
+                not self.fetch_halted and now >= self.fetch_stalled_until
+            ):
                 dispatch(now)
             # Fast path: these queues are exactly _next_cycle's first
             # wake-source guard — when any is non-empty the next step is
@@ -392,72 +368,26 @@ class Core:
             else:
                 nxt = next_cycle(now)
             if checker is not None:
+                # Cycle-accurate cadence: the countdown burns *simulated
+                # cycles*, so idle-skip jumps cannot silently stretch the
+                # check interval.  One sweep covers a whole jumped stretch
+                # — machine state cannot change while no step runs.
                 self._check_countdown -= nxt - now
                 if self._check_countdown <= 0:
                     self._check_countdown = self._check_interval
                     checker.check()
             self.cycle = nxt
-
-    def step(self) -> None:
-        """Advance the core by one cycle (or skip an idle stretch).
-
-        In event-driven mode (``idle_skip=True``, the default) each phase
-        runs behind a cheap activity guard — an idle phase costs one truth
-        test — and the clock jumps over provably idle stretches.  With
-        ``idle_skip=False`` the core becomes the per-cycle reference loop
-        (every phase visited every cycle, clock always +1): every phase is
-        a no-op when its queues are empty, so the guards are purely an
-        optimization, and the reference mode pins that claim — both modes
-        must produce bit-identical :class:`SimStats`.
-        """
-        now = self.cycle
-        self._step_count += 1
-        self._last_step_cycle = now
-        if self._idle_skip:
-            cycles = self._event_cycles
-            if cycles and cycles[0] <= now:
-                self._writeback(now)
-            if self._frontier_waiters:
-                self._process_frontier(now)
-            if self.rob and self.rob[0].completed:
-                self._commit(now)
-                if self.halted:
-                    return
-            if self._ready:
-                self._issue(now)
-            ports = self._load_ports
-            if self._mem_queue or self._mem_retry or self._forward_retry:
-                ports = self._schedule_memory(now, ports)
-            engine = self.engine
-            if engine is not None and engine.has_candidates():
-                ports = engine.issue_spare(ports, now)
-            if self._prefetch_queue and ports > 0:
-                self._issue_prefetches(now, ports)
-            if not self.fetch_halted and now >= self.fetch_stalled_until:
-                self._dispatch(now)
+            if once:
+                break
+        if self.halted:
+            stats.cycles = self.cycle
         else:
-            self._writeback(now)
-            self._process_frontier(now)
-            self._commit(now)
-            if self.halted:
-                return
-            self._issue(now)
-            ports = self._schedule_memory(now, self._load_ports)
-            if self.engine is not None:
-                ports = self.engine.issue_spare(ports, now)
-            self._issue_prefetches(now, ports)
-            self._dispatch(now)
-        nxt = self._next_cycle(now)
-        if self.invariant_checker is not None:
-            # Cycle-accurate cadence: the countdown burns *simulated
-            # cycles*, so idle-skip jumps cannot silently stretch the check
-            # interval.  One sweep covers a whole jumped stretch — machine
-            # state cannot change while no step runs.
-            self._check_countdown -= nxt - now
-            if self._check_countdown <= 0:
-                self._check_countdown = self._check_interval
-                self.invariant_checker.check()
-        self.cycle = nxt
+            # The trailing _next_cycle may already have jumped the clock
+            # deep into an idle stretch nothing will observe.  Report the
+            # cycle after the last step that actually ran, which is what
+            # a non-skipping loop would read — so the count is
+            # independent of idle skipping.
+            stats.cycles = self._last_step_cycle + 1
 
     def _next_cycle(self, now: int) -> int:
         """``now + 1``, or a jump to the next timed event when idle.
@@ -849,7 +779,6 @@ class Core:
                 self.bpred.train(uop.pc, uop.actual_taken, uop.bp_history)
             elif kind == KIND_HALT:
                 self.halted = True
-                stats.cycles = self.cycle
                 break
             if uop.waiters:
                 self._notify_waiters(uop)

@@ -149,6 +149,14 @@ class TestEndToEnd:
         with pytest.raises(DeadlockError):
             core.run(max_instructions=10_000)
 
+    def test_step_trips_the_watchdog(self):
+        """core.step() runs run()'s loop body, watchdog check included, so
+        step-driven harnesses get the same protection."""
+        core = make_core()
+        wedge(core)
+        with pytest.raises(DeadlockError):
+            core.step()
+
     def test_trip_writes_crash_dump(self, tmp_path):
         core = make_core(dump_dir=tmp_path)
         wedge(core)

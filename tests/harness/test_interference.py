@@ -45,6 +45,23 @@ class TestScheduleConstruction:
         ]
 
 
+class TestQuietInjector:
+    @pytest.mark.parametrize("idle_skip", [True, False])
+    def test_empty_schedule_matches_core_run(self, idle_skip):
+        """With nothing to inject, the step-driven injector loop is
+        ``Core.run``: same SimStats, including the budget-break cycle
+        count (never the clock after a trailing idle-skip jump)."""
+        from repro.workloads.profiles import build_workload
+
+        ran = Core(build_workload("omnetpp_s"), make_scheme("unsafe"),
+                   idle_skip=idle_skip)
+        ran.run(max_instructions=501)
+        stepped = Core(build_workload("omnetpp_s"), make_scheme("unsafe"),
+                       idle_skip=idle_skip)
+        InterferenceInjector(stepped, []).run(max_instructions=501)
+        assert stepped.stats.as_dict() == ran.stats.as_dict()
+
+
 class TestInterferenceUnderLoad:
     @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
     def test_invalidation_storm_preserves_correctness(self, scheme):

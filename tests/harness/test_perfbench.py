@@ -30,7 +30,7 @@ class TestBenchPair:
         # The whole point of the event-driven loop: steps < cycles.
         assert record.steps < record.cycles
         assert record.cycles_per_step > 1.0
-        assert record.wall_event > 0 and record.wall_reference > 0
+        assert record.wall_event > 0
 
     def test_mismatch_is_a_hard_error(self, monkeypatch):
         """A baseline produced by diverging loops must be impossible."""
@@ -125,6 +125,17 @@ class TestCompare:
     def test_missing_profile_warns_instead_of_crashing(self):
         warnings = compare_baselines(tiny_fragment(), {"profiles": {}})
         assert len(warnings) == 1 and "no 'quick' profile" in warnings[0]
+
+    def test_baseline_with_retired_fields_still_compares(self):
+        """Baselines recorded before the reference loop's timing was
+        dropped (the checked-in BENCH_figure6.json among them) carry
+        ``wall_reference`` and ``speedup``; comparing reads only
+        ``sim_ips``."""
+        baseline = {"profiles": {"quick": tiny_fragment(sim_ips=1000.0)}}
+        current = tiny_fragment(sim_ips=500.0)
+        for entry in current["records"] + [current["totals"]]:
+            del entry["wall_reference"], entry["speedup"]
+        assert len(compare_baselines(current, baseline)) == 2
 
     def test_speedups_never_fail_the_run(self):
         baseline = {"profiles": {"quick": tiny_fragment(sim_ips=1000.0)}}

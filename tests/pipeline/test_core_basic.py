@@ -43,6 +43,14 @@ class TestBasicExecution:
         with pytest.raises(SimulationLimitError, match="exceeded"):
             core.run()
 
+    def test_cycle_budget_enforced_when_stepping(self):
+        program = Program(assemble("loop: jmp loop"))
+        config = SystemConfig(max_cycles=500)
+        core = Core(program, make_scheme("unsafe"), config=config)
+        with pytest.raises(SimulationLimitError, match="exceeded"):
+            for _ in range(1_000):
+                core.step()
+
     def test_ipc_reported(self):
         core = run_to_completion(counting_loop(100), "unsafe")
         assert core.stats.ipc > 0.5

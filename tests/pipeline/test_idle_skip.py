@@ -1,13 +1,14 @@
 """The idle-cycle fast-forward must be an optimization, never a semantic.
 
-``Core.step`` jumps the clock to the next timed event when provably
-nothing can happen.  These tests pin the conditions: jumps only occur
-while stalled, never lose events, and leave committed state identical to
-what a stall-free (always-busy) run produces.
+With ``idle_skip`` on, the core's scheduling loop jumps the clock to the
+next timed event when provably nothing can happen.  These tests pin the
+conditions: jumps only occur while stalled, never lose events, and leave
+committed state identical to what a stall-free (always-busy) run
+produces.
 
 The equivalence contract is checked differentially: ``idle_skip=False``
-turns the same core into the per-cycle reference loop (every phase
-visited every cycle), and every scheme × workload pairing must produce
+runs the same loop as the per-cycle reference (every phase visited
+every cycle, clock +1), and every scheme × workload pairing must produce
 bit-identical :class:`SimStats` — including the cycle count — in both
 modes.
 """
