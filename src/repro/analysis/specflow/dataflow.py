@@ -54,11 +54,9 @@ _PATH_CAP = 12
 
 def initial_image(program: Program) -> Dict[int, int]:
     """``initial_memory`` normalized the way the interpreter sees it:
-    word-aligned addresses, 64-bit-masked values."""
-    return {
-        (addr & _WORD_ALIGN): value & WORD_MASK
-        for addr, value in program.initial_memory.items()
-    }
+    word-aligned addresses, 64-bit-masked values (read-only: it is the
+    program's own :attr:`~Program.memory_image`)."""
+    return program.memory_image
 
 #: Worklist budget: pc-visits across one dataflow run.  Far above anything
 #: a real gadget needs (they fix in a few hundred visits) while bounding

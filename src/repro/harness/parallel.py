@@ -12,10 +12,12 @@ cheap twice over:
   plain data), rebuilds the :class:`~repro.pipeline.core.Core` from
   scratch, and ships the measurement-window
   :class:`~repro.common.stats.SimStats` back as a dict.  Every pair is
-  simulated in its own interpreter with no shared state, so results are
-  bit-identical between ``jobs=1`` and ``jobs=N``: the simulator is
-  deterministic and stats are never accumulated across processes — the
-  parent reassembles results strictly in request order.
+  simulated from a fresh core; a worker keeps only read-only caches
+  derived from job inputs (the decode table and the last-built
+  stand-in), so results are bit-identical between ``jobs=1`` and
+  ``jobs=N``: the simulator is deterministic and stats are never
+  accumulated across processes — the parent reassembles results
+  strictly in request order.
 
 * **Persistent** — with ``cache_dir`` set, every finished run is written
   to a content-addressed :class:`~repro.harness.store.ResultStore` keyed

@@ -10,12 +10,14 @@ re-simulate.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import SystemConfig, default_config
 from repro.common.errors import EmptyMeasurementError
 from repro.common.stats import RunResult, SimStats
+from repro.isa.program import Program
 from repro.pipeline.core import Core
 from repro.schemes import make_scheme
 from repro.workloads.profiles import build_workload, get_profile
@@ -61,7 +63,15 @@ def run_program(
     before = core.stats.as_dict()
     core.run(max_instructions=warmup + measure)
     stats = _stats_delta(before, core.stats)
-    if core.halted and measure > 0 and stats.committed_instructions == 0:
+    halted = core.halted
+    # A Core's object graph is cyclic (uop waiters, the bound-method
+    # handler table, scheme/engine/guardrail back-references), so only
+    # the cyclic collector frees it, and run() keeps that collector off
+    # while the core allocates most of its objects.  Collect here, so a
+    # worker never holds finished cores waiting for the next collection.
+    del core
+    gc.collect()
+    if halted and measure > 0 and stats.committed_instructions == 0:
         raise EmptyMeasurementError(
             f"program shorter than warmup window (halted after "
             f"{before['committed_instructions']} instructions, "
@@ -77,6 +87,11 @@ def run_program(
     )
 
 
+#: The last stand-in :func:`run_benchmark` built in this process, as
+#: ``(name, program)``; one entry, dropped before the next build.
+_last_built: Optional[Tuple[str, Program]] = None
+
+
 def run_benchmark(
     benchmark: str,
     scheme: str,
@@ -84,10 +99,20 @@ def run_benchmark(
     warmup: int = DEFAULT_WARMUP,
     measure: int = DEFAULT_MEASURE,
 ) -> RunResult:
-    """Build the named SPEC stand-in and measure it under ``scheme``."""
+    """Build the named SPEC stand-in and measure it under ``scheme``.
+
+    The stand-in is reused when the previous call in this process built
+    the same one, so consecutive schemes of a benchmark share one
+    :class:`Program`.  That is sound because a build depends only on the
+    name and a Program is not mutated after construction (the core only
+    reads it).
+    """
+    global _last_built
     get_profile(benchmark)  # fail fast on unknown names
-    program = build_workload(benchmark)
-    return run_program(program, scheme, config, warmup, measure)
+    if _last_built is None or _last_built[0] != benchmark:
+        _last_built = None
+        _last_built = (benchmark, build_workload(benchmark))
+    return run_program(_last_built[1], scheme, config, warmup, measure)
 
 
 #: The memo key of one run: (benchmark, scheme, warmup, measure,

@@ -24,6 +24,8 @@ from repro.isa.instructions import (
 WORD_SIZE = 8
 """Memory is addressed in bytes but loads/stores move 8-byte words."""
 
+_WORD_ALIGN = ~(WORD_SIZE - 1) & WORD_MASK
+
 
 @dataclass
 class ArchState:
@@ -41,10 +43,10 @@ class ArchState:
 
     def read_mem(self, address: int) -> int:
         """Read the 8-byte word containing ``address`` (word-aligned)."""
-        return self.memory.get(address & ~(WORD_SIZE - 1) & WORD_MASK, 0)
+        return self.memory.get(address & _WORD_ALIGN, 0)
 
     def write_mem(self, address: int, value: int) -> None:
-        self.memory[address & ~(WORD_SIZE - 1) & WORD_MASK] = value & WORD_MASK
+        self.memory[address & _WORD_ALIGN] = value & WORD_MASK
 
     def copy(self) -> "ArchState":
         return ArchState(list(self.registers), dict(self.memory))
@@ -66,8 +68,26 @@ class InterpreterResult:
     with no speculation involved)."""
 
 
+def _word_image(memory: Dict[int, int]) -> Dict[int, int]:
+    """``memory`` as :meth:`ArchState.write_mem` would store it, entry by
+    entry: word-aligned addresses, 64-bit-masked values, the last entry
+    for a word winning.  ``memory`` itself when no entry needs aligning
+    or masking."""
+    if all(
+        addr & _WORD_ALIGN == addr and value & WORD_MASK == value
+        for addr, value in memory.items()
+    ):
+        return memory
+    return {addr & _WORD_ALIGN: value & WORD_MASK for addr, value in memory.items()}
+
+
 class Program:
-    """A static program: instructions, entry point, and initial memory."""
+    """A static program: instructions, entry point, and initial memory.
+
+    A Program is not mutated after construction.  Cores only read it, so
+    one instance can serve any number of runs; the harness's last-built
+    stand-in (``run_benchmark``) relies on that.
+    """
 
     def __init__(
         self,
@@ -79,6 +99,9 @@ class Program:
     ):
         self.instructions: List[Instruction] = list(instructions)
         self.initial_memory: Dict[int, int] = dict(initial_memory or {})
+        self.memory_image: Dict[int, int] = _word_image(self.initial_memory)
+        """The memory every :meth:`initial_state` starts from (a copy of
+        it): computed once here, since the program never changes."""
         self.initial_registers: Dict[int, int] = dict(initial_registers or {})
         self.name = name
         self.secret_regions: Tuple[Tuple[int, int], ...] = tuple(
@@ -125,9 +148,9 @@ class Program:
         return None
 
     def initial_state(self) -> ArchState:
-        state = ArchState()
-        for addr, value in self.initial_memory.items():
-            state.write_mem(addr, value)
+        """A fresh architectural state; writing to it never changes the
+        program or the next state it hands out."""
+        state = ArchState(memory=dict(self.memory_image))
         for reg, value in self.initial_registers.items():
             state.write_reg(reg, value)
         return state
@@ -217,7 +240,7 @@ class Program:
         branch_trace: List[bool] = []
         mem_trace: Optional[List[Tuple[int, int, bool]]] = [] if trace_mem else None
         program_len = len(self.instructions)
-        word_align = ~(WORD_SIZE - 1) & WORD_MASK
+        word_align = _WORD_ALIGN
         while 0 <= pc < program_len:
             if executed >= max_instructions:
                 raise ExecutionError(

@@ -22,23 +22,29 @@ from repro.memory.replacement import LRUPolicy, ReplacementPolicy
 
 
 class CacheLevel:
-    """One level of the hierarchy (tags + replacement metadata only)."""
+    """One level of the hierarchy (tags + replacement metadata only).
+
+    Storage is flat: way ``w`` of set ``s`` is slot ``s * ways + w`` in
+    four per-slot lists (resident line, last-touch stamp, fill stamp,
+    dirty bit), and one ``line -> slot`` dict finds a resident line
+    without computing its set.  Building a level is then five
+    allocations whatever its geometry; only a fill needs the set, to pick
+    an invalid way or a victim among the set's slots.  A slot's stamps
+    and dirty bit mean something only while it holds a line: the fill
+    that brings a line in rewrites all three.
+    """
 
     def __init__(self, config: CacheConfig, policy: Optional[ReplacementPolicy] = None):
         self.config = config
         self.policy: ReplacementPolicy = policy if policy is not None else LRUPolicy()
         self.num_sets = config.num_sets
         self.ways = config.ways
-        # Per-set: mapping from line address -> way, plus per-way metadata.
-        self._map: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._lines: List[List[Optional[int]]] = [
-            [None] * self.ways for _ in range(self.num_sets)
-        ]
-        self._touch: List[List[int]] = [[0] * self.ways for _ in range(self.num_sets)]
-        self._fill: List[List[int]] = [[0] * self.ways for _ in range(self.num_sets)]
-        self._dirty: List[List[bool]] = [
-            [False] * self.ways for _ in range(self.num_sets)
-        ]
+        slots = self.num_sets * self.ways
+        self._slot: Dict[int, int] = {}
+        self._lines: List[Optional[int]] = [None] * slots
+        self._touch: List[int] = [0] * slots
+        self._fill: List[int] = [0] * slots
+        self._dirty: List[bool] = [False] * slots
         self._line_shift = config.line_size.bit_length() - 1
 
     # ------------------------------------------------------------------
@@ -56,17 +62,16 @@ class CacheLevel:
     # ------------------------------------------------------------------
     def lookup(self, line: int) -> bool:
         """Non-mutating hit test (DoM probe)."""
-        return line in self._map[self.set_index(line)]
+        return line in self._slot
 
     def access(self, line: int, cycle: int, is_write: bool = False) -> bool:
         """Demand access: on hit, update replacement (and dirty); else miss."""
-        index = self.set_index(line)
-        way = self._map[index].get(line)
-        if way is None:
+        slot = self._slot.get(line)
+        if slot is None:
             return False
-        self._touch[index][way] = cycle
+        self._touch[slot] = cycle
         if is_write:
-            self._dirty[index][way] = True
+            self._dirty[slot] = True
         return True
 
     def touch(self, line: int, cycle: int) -> bool:
@@ -76,11 +81,10 @@ class CacheLevel:
         evicted between the speculative probe and commit), in which case
         there is nothing to update.
         """
-        index = self.set_index(line)
-        way = self._map[index].get(line)
-        if way is None:
+        slot = self._slot.get(line)
+        if slot is None:
             return False
-        self._touch[index][way] = cycle
+        self._touch[slot] = cycle
         return True
 
     def fill(self, line: int, cycle: int, is_write: bool = False) -> Optional[Tuple[int, bool]]:
@@ -88,43 +92,39 @@ class CacheLevel:
 
         Filling a line that is already resident just refreshes its stamps.
         """
-        index = self.set_index(line)
-        existing = self._map[index].get(line)
-        if existing is not None:
-            self._touch[index][existing] = cycle
-            self._fill[index][existing] = cycle
+        slot = self._slot.get(line)
+        if slot is not None:
+            self._touch[slot] = cycle
+            self._fill[slot] = cycle
             if is_write:
-                self._dirty[index][existing] = True
+                self._dirty[slot] = True
             return None
-        # Prefer an invalid way before invoking the policy.
-        lines = self._lines[index]
-        victim_way = None
-        for way in range(self.ways):
-            if lines[way] is None:
-                victim_way = way
-                break
+        ways = self.ways
+        base = (line % self.num_sets) * ways
+        end = base + ways
+        lines = self._lines
         evicted: Optional[Tuple[int, bool]] = None
-        if victim_way is None:
-            victim_way = self.policy.victim(self._touch[index], self._fill[index])
-            victim_line = lines[victim_way]
-            assert victim_line is not None
-            evicted = (victim_line, self._dirty[index][victim_way])
-            del self._map[index][victim_line]
-        lines[victim_way] = line
-        self._map[index][line] = victim_way
-        self._touch[index][victim_way] = cycle
-        self._fill[index][victim_way] = cycle
-        self._dirty[index][victim_way] = is_write
+        # Prefer the lowest invalid way before invoking the policy.
+        if None in lines[base:end]:
+            slot = lines.index(None, base, end)
+        else:
+            slot = base + self.policy.victim(self._touch[base:end], self._fill[base:end])
+            victim_line = lines[slot]
+            evicted = (victim_line, self._dirty[slot])
+            del self._slot[victim_line]
+        lines[slot] = line
+        self._slot[line] = slot
+        self._touch[slot] = cycle
+        self._fill[slot] = cycle
+        self._dirty[slot] = is_write
         return evicted
 
     def invalidate(self, line: int) -> bool:
         """Remove a line (coherence invalidation); True if it was present."""
-        index = self.set_index(line)
-        way = self._map[index].pop(line, None)
-        if way is None:
+        slot = self._slot.pop(line, None)
+        if slot is None:
             return False
-        self._lines[index][way] = None
-        self._dirty[index][way] = False
+        self._lines[slot] = None
         return True
 
     # ------------------------------------------------------------------
@@ -132,18 +132,12 @@ class CacheLevel:
     # ------------------------------------------------------------------
     def resident_lines(self) -> List[int]:
         """All line addresses currently cached (order unspecified)."""
-        lines: List[int] = []
-        for per_set in self._map:
-            lines.extend(per_set.keys())
-        return lines
+        return list(self._slot)
 
     def occupancy(self) -> int:
-        return sum(len(per_set) for per_set in self._map)
+        return len(self._slot)
 
     def flush(self) -> None:
         """Empty the cache (attack setup: flush the probe array)."""
-        for index in range(self.num_sets):
-            self._map[index].clear()
-            for way in range(self.ways):
-                self._lines[index][way] = None
-                self._dirty[index][way] = False
+        self._slot.clear()
+        self._lines = [None] * len(self._lines)
