@@ -1,4 +1,16 @@
-"""The differential oracle: clean on stock, loud on injected bugs."""
+"""The differential oracle: clean on stock, loud on injected bugs.
+
+``TestPinnedDivergences`` pins the full ``(kind, divergences)`` report of
+both injected mutations on three programs against a checked-in fixture,
+so any change to how the oracle compares or renders snapshots shows up
+as a diff.  A deliberate change re-records the fixture by running this
+module as a script, and says in its commit why the text moved::
+
+    PYTHONPATH=src python tests/fuzz/test_differential.py
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +29,18 @@ from repro.fuzz.profiles import get_profile
 from repro.isa.builder import CodeBuilder
 
 SMOKE_SCHEMES = ("unsafe", "dom+ap")
+
+FIXTURE = Path(__file__).with_name("injected_divergences.json")
+
+#: (profile, seed) of the programs whose injected-bug reports are pinned:
+#: together they show register and memory differences, ``'<absent>'``
+#: values and the truncation marker.
+PINNED_PROGRAMS = (("default", 0), ("streaming", 4), ("chase", 2))
+PINNED_CASES = [
+    f"{mutation}/{profile}/{seed}"
+    for mutation in sorted(MUTATIONS)
+    for profile, seed in PINNED_PROGRAMS
+]
 
 
 class TestMatrixModes:
@@ -74,6 +98,25 @@ class TestInjectedBugs:
             make_scheme_variant("dom", "not-a-mutation")
 
 
+def injected_report(case):
+    mutation, profile, seed = case.split("/")
+    program = generate_program(int(seed), get_profile(profile))
+    report = run_matrix(
+        program, SMOKE_SCHEMES, matrix="schemes", mutation=mutation
+    )
+    return {"kind": report.kind, "divergences": report.divergences}
+
+
+class TestPinnedDivergences:
+    def test_fixture_covers_the_cases(self):
+        assert sorted(json.loads(FIXTURE.read_text())) == sorted(PINNED_CASES)
+
+    @pytest.mark.parametrize("case", PINNED_CASES)
+    def test_report_matches_fixture(self, case):
+        expected = json.loads(FIXTURE.read_text())[case]
+        assert injected_report(case) == expected
+
+
 class TestReferenceLimit:
     def test_non_halting_program_is_its_own_kind(self):
         b = CodeBuilder()
@@ -88,3 +131,14 @@ class TestReferenceLimit:
 
     def test_commit_budget_scales_with_reference(self):
         assert commit_budget(1000) > commit_budget(10) > 0
+
+
+def record():
+    """Re-run the pinned cases and rewrite the fixture."""
+    reports = {case: injected_report(case) for case in PINNED_CASES}
+    FIXTURE.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(reports)} cases to {FIXTURE}")
+
+
+if __name__ == "__main__":
+    record()
