@@ -30,7 +30,7 @@ Snapshot vocabulary:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.config import BranchPredictorConfig, SystemConfig
 from repro.common.errors import ConfigError
@@ -42,8 +42,8 @@ from repro.schemes.base import SecureScheme
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.attacks.gadgets import Gadget
 
-Snapshot = Dict[Any, Any]
-"""A flat observation: hashable keys to JSON-able values."""
+Snapshot = Dict[Hashable, Optional[int]]
+"""A flat observation: hashable keys to int, bool or None values."""
 
 
 # ----------------------------------------------------------------------
@@ -116,16 +116,16 @@ def diff_snapshots(
     ``ignore`` names keys excluded from the comparison (e.g. a count the
     caller compares elsewhere).  The rendering names registers and memory
     words so a divergence report reads like a debugger, not a dict diff.
+
+    The differing keys come from one symmetric difference of the two item
+    views, which needs every value hashable (see :data:`Snapshot`); only
+    those keys are sorted and rendered, so the cost scales with the
+    entries that differ, not with the snapshot's size.
     """
-    skipped = set(ignore)
+    keys = {key for key, _ in reference.items() ^ candidate.items()}
+    keys.difference_update(ignore)
     problems: List[str] = []
-    keys = sorted(
-        set(reference) | set(candidate),
-        key=lambda key: (str(type(key)), str(key)),
-    )
-    for key in keys:
-        if key in skipped:
-            continue
+    for key in sorted(keys, key=lambda key: (str(type(key)), str(key))):
         expected = reference.get(key, "<absent>")
         actual = candidate.get(key, "<absent>")
         if expected != actual:
