@@ -39,13 +39,39 @@ from typing import TYPE_CHECKING, Optional
 # This module is the schemes package's single sanctioned window onto the
 # pipeline (reprolint RPL401): concrete schemes import pipeline types
 # from here, never from repro.pipeline directly, so the full surface a
-# policy can touch stays visible in one place.
-from repro.pipeline.uop import UNTAINTED, MicroOp
+# policy can touch stays visible in one place.  The STATE_* and KIND_*
+# codes let an invariant sweep read a uop's ``state`` and ``kind`` slots
+# the way the core's hot loop does.
+from repro.isa.instructions import (
+    KIND_CBRANCH,
+    KIND_JMP,
+    KIND_LOAD,
+    KIND_STORE,
+)
+from repro.pipeline.uop import (
+    STATE_COMMITTED,
+    STATE_COMPLETED,
+    STATE_SQUASHED,
+    UNTAINTED,
+    MicroOp,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.core import Core
 
-__all__ = ["MicroOp", "READY", "SecureScheme", "UNTAINTED"]
+__all__ = [
+    "KIND_CBRANCH",
+    "KIND_JMP",
+    "KIND_LOAD",
+    "KIND_STORE",
+    "MicroOp",
+    "READY",
+    "STATE_COMMITTED",
+    "STATE_COMPLETED",
+    "STATE_SQUASHED",
+    "SecureScheme",
+    "UNTAINTED",
+]
 
 READY = -1
 """Block key meaning "no restriction — proceed now"."""

@@ -22,7 +22,14 @@ selected by ``dl_miss_release_at_nonspec`` and enforced by the engine.
 
 from __future__ import annotations
 
-from repro.schemes.base import READY, MicroOp, SecureScheme
+from repro.schemes.base import (
+    READY,
+    STATE_COMMITTED,
+    STATE_COMPLETED,
+    STATE_SQUASHED,
+    MicroOp,
+    SecureScheme,
+)
 
 
 class DelayOnMiss(SecureScheme):
@@ -85,7 +92,8 @@ class DelayOnMiss(SecureScheme):
         """
         problems = []
         for load in core.lq:
-            if load.squashed:
+            state = load.state
+            if state == STATE_SQUASHED:
                 continue
             if load.dom_delayed and not load.executed:
                 if load.dom_touch_pending:
@@ -99,7 +107,11 @@ class DelayOnMiss(SecureScheme):
                         f"delayed load seq={load.seq} pc={load.pc} bound a "
                         f"value without performing its access"
                     )
-            if load.completed and not load.executed and not load.vp_active:
+            if (
+                (state == STATE_COMPLETED or state == STATE_COMMITTED)
+                and not load.executed
+                and not load.vp_active
+            ):
                 problems.append(
                     f"load seq={load.seq} pc={load.pc} completed without a "
                     f"memory access, forward, or doppelganger release "

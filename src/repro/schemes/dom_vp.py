@@ -20,6 +20,7 @@ respect to its memory-hierarchy threat model.
 
 from __future__ import annotations
 
+from repro.schemes.base import STATE_COMMITTED, STATE_SQUASHED
 from repro.schemes.dom import DelayOnMiss
 
 
@@ -50,14 +51,15 @@ class DoMValuePrediction(DelayOnMiss):
         commit gate keeps vp-active loads at the ROB head)."""
         problems = super().check_invariants(core)
         for load in core.lq:
-            if load.squashed or not load.vp_active:
+            state = load.state
+            if state == STATE_SQUASHED or not load.vp_active:
                 continue
             if not load.dom_delayed:
                 problems.append(
                     f"load seq={load.seq} pc={load.pc} is value-predicted "
                     f"but was never a delayed miss"
                 )
-            if load.committed:
+            if state == STATE_COMMITTED:
                 problems.append(
                     f"load seq={load.seq} pc={load.pc} committed with an "
                     f"unvalidated value prediction"

@@ -13,7 +13,15 @@ unreadable until the shadow frontier reaches the load itself.
 
 from __future__ import annotations
 
-from repro.schemes.base import READY, MicroOp, SecureScheme
+from repro.schemes.base import (
+    KIND_LOAD,
+    KIND_STORE,
+    READY,
+    STATE_COMMITTED,
+    STATE_SQUASHED,
+    MicroOp,
+    SecureScheme,
+)
 
 
 class NDAPermissive(SecureScheme):
@@ -43,38 +51,40 @@ class NDAPermissive(SecureScheme):
         have bypassed the lock.
         """
         problems = []
-        shadows = self.shadows
+        # The sweep never moves the frontier: read it once.  A producer
+        # is speculative iff frontier < its seq; state < COMMITTED is
+        # "in flight", which already excludes squashed.
+        frontier = self.shadows.frontier()
         for uop in core.rob:
-            if uop.squashed:
+            if uop.state == STATE_SQUASHED:
                 continue
-            issued = uop.issue_cycle >= 0
-            # Issue gates on src1 always, src2 only for ALU/branch ops;
-            # store data binds separately and is checked below.
-            producers = [uop.src1_uop]
-            if not uop.is_load and not uop.is_store:
-                producers.append(uop.src2_uop)
-            if issued:
+            kind = uop.kind
+            if uop.issue_cycle >= 0:
+                # Issue gates on src1 always, src2 only for ALU/branch ops;
+                # store data binds separately and is checked below.
+                if kind == KIND_LOAD or kind == KIND_STORE:
+                    producers = (uop.src1_uop,)
+                else:
+                    producers = (uop.src1_uop, uop.src2_uop)
                 for producer in producers:
                     if (
                         producer is not None
-                        and producer.is_load
-                        and producer.in_flight
-                        and not producer.squashed
-                        and shadows.is_speculative(producer.seq)
+                        and producer.kind == KIND_LOAD
+                        and producer.state < STATE_COMMITTED
+                        and frontier < producer.seq
                     ):
                         problems.append(
                             f"uop seq={uop.seq} pc={uop.pc} issued while its "
                             f"load producer seq={producer.seq} is still "
                             f"speculative (NDA value lock bypassed)"
                         )
-            if uop.is_store and uop.store_data_ready:
+            if kind == KIND_STORE and uop.store_data_ready:
                 producer = uop.src2_uop
                 if (
                     producer is not None
-                    and producer.is_load
-                    and producer.in_flight
-                    and not producer.squashed
-                    and shadows.is_speculative(producer.seq)
+                    and producer.kind == KIND_LOAD
+                    and producer.state < STATE_COMMITTED
+                    and frontier < producer.seq
                 ):
                     problems.append(
                         f"store seq={uop.seq} pc={uop.pc} bound data from "

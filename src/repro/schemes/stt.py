@@ -24,7 +24,21 @@ to reach its taint root, which is exactly the block-key contract of
 
 from __future__ import annotations
 
-from repro.schemes.base import READY, UNTAINTED, MicroOp, SecureScheme
+from repro.schemes.base import (
+    KIND_CBRANCH,
+    KIND_JMP,
+    KIND_LOAD,
+    KIND_STORE,
+    READY,
+    STATE_COMMITTED,
+    STATE_SQUASHED,
+    UNTAINTED,
+    MicroOp,
+    SecureScheme,
+)
+
+#: Kinds the taint cross-check skips (see :meth:`STT.check_invariants`).
+_UNCHECKED_KINDS = frozenset((KIND_LOAD, KIND_STORE, KIND_CBRANCH, KIND_JMP))
 
 
 class STT(SecureScheme):
@@ -84,9 +98,11 @@ class STT(SecureScheme):
         cross-check against producers is not meaningful for either.
         """
         problems = []
-        shadows = self.shadows
+        # The sweep never moves the frontier: read it once.  A taint root
+        # is live iff frontier < root; state < COMMITTED is "in flight".
+        frontier = self.shadows.frontier()
         for uop in core.rob:
-            if uop.squashed:
+            if uop.state == STATE_SQUASHED:
                 continue
             taint = uop.taint
             if taint != UNTAINTED and not 0 <= taint <= uop.seq:
@@ -94,13 +110,13 @@ class STT(SecureScheme):
                     f"uop seq={uop.seq} pc={uop.pc} carries impossible "
                     f"taint root {taint} (must lie in [0, seq])"
                 )
-            if uop.is_load or uop.is_store or uop.is_branch or uop.issue_cycle < 0:
+            if uop.kind in _UNCHECKED_KINDS or uop.issue_cycle < 0:
                 continue
             for producer in (uop.src1_uop, uop.src2_uop):
-                if producer is None or not producer.in_flight:
+                if producer is None or producer.state >= STATE_COMMITTED:
                     continue
                 ptaint = producer.taint
-                if ptaint == UNTAINTED or not shadows.is_speculative(ptaint):
+                if ptaint == UNTAINTED or not frontier < ptaint:
                     continue
                 if taint == UNTAINTED or taint < ptaint:
                     problems.append(

@@ -19,6 +19,9 @@ from repro.fuzz.differential import (
     KIND_ARCH,
     KIND_CLEAN,
     KIND_REFERENCE_LIMIT,
+    Execution,
+    _has_arch_divergence,
+    _stats_divergences,
     commit_budget,
     matrix_modes,
     run_matrix,
@@ -115,6 +118,70 @@ class TestPinnedDivergences:
     def test_report_matches_fixture(self, case):
         expected = json.loads(FIXTURE.read_text())[case]
         assert injected_report(case) == expected
+
+
+def executions(schemes=("dom",), **changed):
+    """One clean execution per full-matrix mode, all with equal stats;
+    ``changed`` maps a mode description to the stats it reports instead."""
+    result = []
+    for mode in matrix_modes(schemes, "full"):
+        stats = changed.get(mode.describe(), {"cycles": 100, "committed": 40})
+        result.append(Execution(mode=mode, ok=True, stats=dict(stats)))
+    return result
+
+
+class TestStatsDivergences:
+    def test_identical_stats_are_clean(self):
+        assert _stats_divergences(executions(("unsafe", "dom"))) == []
+
+    def test_guardrail_level_changing_stats_is_caught(self):
+        report = _stats_divergences(
+            executions(
+                **{"dom idle_skip=off guardrails=full": {"cycles": 101, "committed": 40}}
+            )
+        )
+        # The idle_skip comparison within guardrails=full sees it too,
+        # and its messages come first.
+        assert report == [
+            "[dom guardrails=full] stats[cycles]: idle_skip=on 100 vs "
+            "idle_skip=off 101",
+            "[dom idle_skip=off] stats[cycles]: guardrails=off 100 vs "
+            "guardrails=full 101",
+        ]
+        assert not _has_arch_divergence(report)
+
+    def test_every_level_pair_is_compared(self):
+        changed = {"cycles": 100, "committed": 41}
+        report = _stats_divergences(
+            executions(
+                **{
+                    "dom idle_skip=on guardrails=full": changed,
+                    "dom idle_skip=off guardrails=full": changed,
+                }
+            )
+        )
+        assert report == [
+            "[dom idle_skip=off] stats[committed]: guardrails=off 40 vs "
+            "guardrails=full 41",
+            "[dom idle_skip=on] stats[committed]: guardrails=off 40 vs "
+            "guardrails=full 41",
+        ]
+
+    def test_failed_execution_has_no_pair(self):
+        runs = executions(
+            **{"dom idle_skip=on guardrails=full": {"cycles": 7, "committed": 40}}
+        )
+        for run in runs:
+            if run.mode.describe() == "dom idle_skip=on guardrails=full":
+                run.ok, run.stats = False, None
+        assert _stats_divergences(runs) == []
+
+    def test_one_cell_per_scheme_has_no_pairs(self):
+        runs = [
+            Execution(mode=mode, ok=True, stats={"cycles": index})
+            for index, mode in enumerate(matrix_modes(SMOKE_SCHEMES, "schemes"))
+        ]
+        assert _stats_divergences(runs) == []
 
 
 class TestReferenceLimit:
