@@ -312,8 +312,12 @@ class SystemConfig:
         Two configs fingerprint equal iff every field (including nested
         sub-configs) is equal, so the digest is a safe cache key: any
         change to any knob — and nothing else — invalidates cached runs.
+        Computed on the first call and kept on the instance: every field
+        is frozen, and overrides build new instances.
         """
-        return config_fingerprint(self)
+        if "_fingerprint" not in self.__dict__:
+            object.__setattr__(self, "_fingerprint", config_fingerprint(self))
+        return self.__dict__["_fingerprint"]
 
 
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
