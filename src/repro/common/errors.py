@@ -101,15 +101,6 @@ class WorkerCrashError(ReproError):
     """A sweep worker process died (crash/kill) before returning a result."""
 
 
-class ChaosError(ReproError):
-    """The chaos differential check could not complete or failed.
-
-    Raised when a sweep under an injected fault plan cannot converge to
-    the fault-free result (non-identical stats, un-quarantined corrupt
-    entries, or a campaign that never finishes within its resume budget).
-    """
-
-
 class LintError(ReproError):
     """reprolint could not analyze a target (unreadable file, broken
     baseline, syntax error in the tree under analysis)."""
