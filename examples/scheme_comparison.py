@@ -11,14 +11,14 @@ transmitters).
 Run:  python examples/scheme_comparison.py
 """
 
-from repro.harness import ExperimentSession
+from repro.harness import ParallelSession
 
 BENCHMARKS = ("libquantum", "mcf", "xalancbmk_s", "exchange2_s")
 SCHEMES = ("nda", "nda+ap", "stt", "stt+ap", "dom", "dom+ap")
 
 
 def main() -> None:
-    session = ExperimentSession(warmup=3000, measure=12000)
+    session = ParallelSession(warmup=3000, measure=12000, jobs=1)
     for name in BENCHMARKS:
         baseline = session.run(name, "unsafe")
         print(f"\n=== {name} (baseline IPC {baseline.ipc:.3f}) ===")

@@ -11,7 +11,9 @@ Divergences are *successful* job executions (the worker found what it
 was sent to find) — they come back as data, get minimized in the worker,
 and the parent writes one self-contained repro file per finding plus a
 ``failure_manifest.json`` whose entries carry the full job spec and a
-single replay command.
+single replay command.  :class:`FuzzSession` is a
+:class:`~repro.harness.jobs.Campaign`, so the verdict store, progress
+ledger, resume and manifest are the ones sweeps use.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig, config_from_dict, config_to_dict
-from repro.common.errors import ReproError
-from repro.common.io import atomic_write_json
 from repro.fuzz.corpus import ReproFile
 from repro.fuzz.differential import (
     KIND_CLEAN,
@@ -36,14 +36,13 @@ from repro.fuzz.differential import (
 from repro.fuzz.generator import generate_program
 from repro.fuzz.profiles import FuzzProfile
 from repro.fuzz.shrink import minimize
-from repro.harness.jobs import JobEngine, failure_payload
-from repro.harness.parallel import (
-    CACHE_FORMAT_VERSION,
-    FAILURE_MANIFEST_NAME,
-    LEDGER_NAME,
+from repro.harness.jobs import (
+    Campaign,
     FailureRecord,
+    Payload,
+    guarded,
+    replay_command,
 )
-from repro.harness.store import ProgressLedger, ResultStore, campaign_id
 
 #: Default schemes a campaign crosses — the unsafe baseline plus every
 #: secure scheme, with and without address prediction for DoM.
@@ -118,9 +117,9 @@ class FuzzJob:
 
 
 def _fuzz_key(job: FuzzJob) -> Dict[str, Any]:
-    """The verdict store's key for a job: its full replayable spec, so
-    any change to seed, profile knobs, schemes, matrix, config, or
-    mutation misses by construction."""
+    """A job's key in the engine, the verdict store and the ledger: its
+    full replayable spec, so any change to seed, profile knobs, schemes,
+    matrix, config, or mutation misses by construction."""
     return job.spec()
 
 
@@ -155,6 +154,53 @@ def _shrink_predicate(job: FuzzJob, config: SystemConfig, kind: str):
     return predicate
 
 
+def _run_fuzz_job(job: FuzzJob) -> Dict[str, Any]:
+    profile = FuzzProfile.from_dict(job.profile)
+    config = config_from_dict(job.config)
+    program = generate_program(job.seed, profile)
+    report = run_matrix(
+        program,
+        job.schemes,
+        config=config,
+        matrix=job.matrix,
+        mutation=job.mutation,
+    )
+    result: Dict[str, Any] = {
+        "kind": report.kind,
+        "executions": len(report.executions),
+        "divergences": list(report.divergences),
+    }
+    if not report.clean:
+        minimized = program
+        if job.minimize:
+            minimized = minimize(
+                program, _shrink_predicate(job, config, report.kind)
+            )
+            # Report the divergences of the *minimized* program — that is
+            # what lands in the repro file and what a triager reads first.
+            report = run_matrix(
+                minimized,
+                job.schemes,
+                config=config,
+                matrix=job.matrix,
+                mutation=job.mutation,
+            )
+        repro = ReproFile.from_finding(
+            seed=job.seed,
+            profile=job.profile,
+            schemes=job.schemes,
+            matrix=job.matrix,
+            config=config,
+            report=report,
+            minimized=minimized,
+            original_length=len(program),
+            mutation=job.mutation,
+        )
+        result["repro"] = repro.to_dict()
+        result["divergences"] = list(report.divergences)
+    return result
+
+
 def execute_fuzz_job(job: FuzzJob) -> Dict[str, Any]:
     """Worker entry point: generate, run the matrix, minimize findings.
 
@@ -164,73 +210,7 @@ def execute_fuzz_job(job: FuzzJob) -> Dict[str, Any]:
     infrastructure problems (generator crash, unpicklable state...)
     produce failure payloads.
     """
-    try:
-        profile = FuzzProfile.from_dict(job.profile)
-        config = config_from_dict(job.config)
-        program = generate_program(job.seed, profile)
-        report = run_matrix(
-            program,
-            job.schemes,
-            config=config,
-            matrix=job.matrix,
-            mutation=job.mutation,
-        )
-        result: Dict[str, Any] = {
-            "kind": report.kind,
-            "executions": len(report.executions),
-            "divergences": list(report.divergences),
-        }
-        if not report.clean:
-            minimized = program
-            if job.minimize:
-                minimized = minimize(
-                    program, _shrink_predicate(job, config, report.kind)
-                )
-                # Report the divergences of the *minimized* program —
-                # that is what lands in the repro file and what a triager
-                # reads first.
-                report = run_matrix(
-                    minimized,
-                    job.schemes,
-                    config=config,
-                    matrix=job.matrix,
-                    mutation=job.mutation,
-                )
-            repro = ReproFile.from_finding(
-                seed=job.seed,
-                profile=job.profile,
-                schemes=job.schemes,
-                matrix=job.matrix,
-                config=config,
-                report=report,
-                minimized=minimized,
-                original_length=len(program),
-                mutation=job.mutation,
-            )
-            result["repro"] = repro.to_dict()
-            result["divergences"] = list(report.divergences)
-        return {"ok": True, "result": result}
-    except ReproError as error:
-        return failure_payload(
-            type(error).__name__,
-            str(error),
-            transient=False,
-            fields=fuzz_job_fields(job),
-        )
-    except KeyboardInterrupt:
-        return failure_payload(
-            "KeyboardInterrupt",
-            "interrupted mid-run",
-            transient=True,
-            fields=fuzz_job_fields(job),
-        )
-    except Exception as error:  # crash isolation: bugs travel back as data
-        return failure_payload(
-            type(error).__name__,
-            str(error) or repr(error),
-            transient=True,
-            fields=fuzz_job_fields(job),
-        )
+    return guarded(_run_fuzz_job, job, fuzz_job_fields)
 
 
 @dataclass
@@ -245,6 +225,20 @@ class Finding:
     def summary(self) -> str:
         where = f" -> {self.repro_path}" if self.repro_path else ""
         return f"{self.job.label}: {self.kind}{where}"
+
+    def record(self, manifest: Path) -> FailureRecord:
+        """This finding as a failure-manifest entry; it replays from its
+        repro file when one was written, else from the manifest."""
+        return FailureRecord(
+            benchmark=self.job.label,
+            scheme=",".join(self.job.schemes),
+            error_type=self.kind,
+            message=self.divergences[0] if self.divergences else self.kind,
+            dump_path=str(self.repro_path) if self.repro_path else None,
+            key=[self.job.label],
+            spec=self.job.spec(),
+            replay=replay_command(self.repro_path or manifest),
+        )
 
 
 @dataclass
@@ -296,12 +290,15 @@ class FuzzSummary:
         return "\n".join(lines)
 
 
-class FuzzSession:
+class FuzzSession(Campaign):
     """Fan a fuzzing campaign out over the fault-tolerant job engine.
 
     Parameters mirror :class:`~repro.harness.parallel.ParallelSession`
-    where they overlap; ``repro_dir`` is where repro files and the
-    failure manifest land (``None`` keeps findings in memory only).
+    where they overlap; ``repro_dir`` is where repro files, the verdict
+    store, the ledger and the failure manifest land (``None`` keeps
+    findings in memory only).  Unlike a sweep's cache, the verdict store
+    is read only under ``resume``, so a fresh campaign fuzzes the
+    current code again.
     """
 
     def __init__(
@@ -320,28 +317,24 @@ class FuzzSession:
         resume: bool = False,
         chaos: Optional[Any] = None,
     ):
+        super().__init__(
+            repro_dir,
+            store_dir="store",
+            namer=_fuzz_entry_slug,
+            describe=fuzz_job_fields,
+            resume=resume,
+            chaos=chaos,
+            jobs=jobs,
+            job_timeout=job_timeout,
+            retries=retries,
+            retry_backoff=retry_backoff,
+            mp_context=mp_context,
+        )
         self.config = fuzz_config(config)
         self.schemes = tuple(schemes)
         self.matrix = matrix
-        self.jobs = jobs
-        self.job_timeout = job_timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.mp_context = mp_context
-        self.repro_dir = Path(repro_dir) if repro_dir is not None else None
         self.mutation = mutation
         self.minimize_findings = minimize_findings
-        self.resume = resume
-        self.chaos = chaos
-        # Verdicts persist in a content-addressed store under the repro
-        # dir, so an interrupted campaign resumes instead of refuzzing.
-        self.store: Optional[ResultStore] = None
-        if self.repro_dir is not None:
-            self.store = ResultStore(
-                self.repro_dir / "store",
-                fs=chaos.fs if chaos is not None else None,
-                namer=_fuzz_entry_slug,
-            )
 
     # ------------------------------------------------------------------
     # Campaign
@@ -385,111 +378,58 @@ class FuzzSession:
     ) -> FuzzSummary:
         """Run prebuilt jobs; honors an optional wall-clock budget.
 
-        The budget is checked between engine batches, so a campaign stops
-        *submitting* once the budget is spent — jobs already in flight
-        still finish, and every finished verdict is kept.  Batches are
-        several pool-loads wide: each batch boundary pays a pool restart
-        plus a wait-for-the-slowest barrier, so narrow batches throw away
-        real wall-clock (profiles differ ~7× in matrix cost).  With no
-        budget there is nothing to check between batches and the whole
-        campaign runs as one.
+        The budget is checked between engine batches (see
+        :meth:`~repro.harness.jobs.Campaign.execute`): a spent budget
+        stops submitting, and every finished verdict is kept.  The
+        manifest is written whatever happens.
         """
-        engine = JobEngine(
-            execute_fuzz_job,
-            jobs=self.jobs,
-            job_timeout=self.job_timeout,
-            retries=self.retries,
-            retry_backoff=self.retry_backoff,
-            mp_context=self.mp_context,
-            describe=fuzz_job_fields,
-            chaos=self.chaos,
-        )
         summary = FuzzSummary()
         started = time.monotonic()
-        if time_budget is None:
-            batch_size = max(len(jobs), 1)
-        else:
-            batch_size = max(1, engine.jobs) * 8
-        # With --resume, verdicts already in the store replay without
-        # re-running the matrix; only genuinely unresolved jobs (and
-        # previous *failures*, which are infrastructure problems worth a
-        # fresh attempt) reach the pool.
-        pending: List[Tuple[FuzzJob, FuzzJob]] = []
-        for job in jobs:
-            if self.resume and self.store is not None:
-                cached = self.store.get(_fuzz_key(job))
-                if isinstance(cached, dict) and "kind" in cached:
-                    summary.store_hits += 1
-                    summary.programs += 1
-                    if cached["kind"] == KIND_CLEAN:
-                        summary.clean += 1
-                    else:
-                        summary.findings.append(
-                            self._record_finding(job.label, cached)
-                        )
-                    continue
-            pending.append((job, job))
-        ledger = self._open_ledger(jobs)
+
+        def resolve(key: Dict[str, Any], payload: Payload) -> None:
+            if payload["ok"] and self.store is not None:
+                # Verdicts — clean and findings alike — are worth keeping:
+                # a resumed campaign replays them instead of refuzzing.
+                self.store.put(key, payload["result"])
+            self._count(summary, FuzzJob.from_spec(key).label, payload)
+
+        keys = [_fuzz_key(job) for job in jobs]
         try:
-            while pending:
-                if (
-                    time_budget is not None
-                    and time.monotonic() - started > time_budget
-                ):
-                    summary.skipped_budget = len(pending)
-                    break
-                batch, pending = pending[:batch_size], pending[batch_size:]
-                engine.run(batch, self._make_store(summary, ledger))
+            with self.journal(keys):
+                # With --resume, stored verdicts and the deterministic
+                # failures the ledger journaled replay without re-running
+                # the matrix; transient failures get a fresh attempt.
+                cold: List[Tuple[Dict[str, Any], FuzzJob]] = []
+                for key, job in zip(keys, jobs):
+                    cached = None
+                    if self.resume and self.store is not None:
+                        cached = self.store.get(key)
+                    if isinstance(cached, dict) and "kind" in cached:
+                        summary.store_hits += 1
+                        self._count(summary, job.label, {"ok": True, "result": cached})
+                        continue
+                    replayed = self.replayed_failure(key)
+                    if replayed is not None:
+                        self._count(summary, job.label, replayed)
+                        continue
+                    cold.append((key, job))
+                summary.skipped_budget = self.execute(
+                    cold, execute_fuzz_job, resolve, time_budget, started
+                )
         finally:
-            if ledger is not None:
-                ledger.close()
             summary.elapsed = time.monotonic() - started
             summary.manifest_path = self.write_manifest(summary)
         return summary
 
-    def _open_ledger(
-        self, jobs: Sequence[FuzzJob]
-    ) -> Optional[ProgressLedger]:
-        """The campaign's progress journal (None without a repro dir)."""
-        if self.repro_dir is None:
-            return None
-        campaign = campaign_id([_fuzz_key(job) for job in jobs])
-        try:
-            return ProgressLedger(
-                self.repro_dir / LEDGER_NAME, campaign, resume=self.resume
-            )
-        except OSError:
-            return None
-
-    def _make_store(
-        self,
-        summary: FuzzSummary,
-        ledger: Optional[ProgressLedger] = None,
-    ):
-        def store(job: FuzzJob, payload: Dict[str, Any]) -> None:
-            summary.programs += 1
-            if ledger is not None:
-                ledger.record(
-                    _fuzz_key(job),
-                    payload["ok"],
-                    None if payload["ok"] else payload,
-                )
-            if not payload["ok"]:
-                summary.failures.append(
-                    FailureRecord.from_payload([job.label], payload)
-                )
-                return
-            result = payload["result"]
-            if self.store is not None:
-                # Verdicts — clean and findings alike — are worth keeping:
-                # a resumed campaign replays them instead of refuzzing.
-                self.store.put(_fuzz_key(job), result)
-            if result["kind"] == KIND_CLEAN:
-                summary.clean += 1
-                return
-            summary.findings.append(self._record_finding(job.label, result))
-
-        return store
+    def _count(self, summary: FuzzSummary, label: str, payload: Payload) -> None:
+        """Add one resolved program to ``summary``."""
+        summary.programs += 1
+        if not payload["ok"]:
+            summary.failures.append(FailureRecord.from_payload([label], payload))
+        elif payload["result"]["kind"] == KIND_CLEAN:
+            summary.clean += 1
+        else:
+            summary.findings.append(self._record_finding(label, payload["result"]))
 
     def _record_finding(self, label: str, result: Dict[str, Any]) -> Finding:
         repro_payload = result.get("repro")
@@ -510,9 +450,9 @@ class FuzzSession:
                 mutation=repro.mutation,
                 minimize_findings=self.minimize_findings,
             )
-            if self.repro_dir is not None:
+            if self.directory is not None:
                 name = f"repro-{repro.profile.get('name', 'p')}-{repro.seed}.json"
-                repro_path = repro.save(self.repro_dir / name)
+                repro_path = repro.save(self.directory / name)
         if finding_job is None:
             finding_job = FuzzJob(
                 seed=-1,
@@ -531,47 +471,35 @@ class FuzzSession:
     # ------------------------------------------------------------------
     # Manifest
     # ------------------------------------------------------------------
-    @property
-    def failure_manifest_path(self) -> Optional[Path]:
-        if self.repro_dir is None:
-            return None
-        return self.repro_dir / FAILURE_MANIFEST_NAME
-
     def write_manifest(self, summary: FuzzSummary) -> Optional[Path]:
         """Record findings *and* infrastructure failures, each entry with
         its full job spec and one replay command."""
         path = self.failure_manifest_path
         if path is None:
             return None
-        entries: List[Dict[str, Any]] = []
-        for finding in summary.findings:
-            replay_target = finding.repro_path or path
-            entries.append(
-                {
-                    "benchmark": finding.job.label,
-                    "scheme": ",".join(finding.job.schemes),
-                    "error_type": finding.kind,
-                    "message": (
-                        finding.divergences[0]
-                        if finding.divergences
-                        else finding.kind
-                    ),
-                    "attempts": 1,
-                    "transient": False,
-                    "dump_path": (
-                        str(finding.repro_path) if finding.repro_path else None
-                    ),
-                    "key": [finding.job.label],
-                    "spec": finding.job.spec(),
-                    "replay": f"python -m repro fuzz --replay {replay_target}",
-                }
-            )
-        for failure in summary.failures:
-            record = asdict(failure)
-            record["replay"] = f"python -m repro fuzz --replay {path}"
-            entries.append(record)
-        payload = {"version": CACHE_FORMAT_VERSION, "failures": entries}
-        return atomic_write_json(path, payload, indent=2)
+        records = [finding.record(path) for finding in summary.findings]
+        records.extend(
+            replace(failure, replay=replay_command(path))
+            for failure in summary.failures
+        )
+        return self.save_manifest(records)
+
+
+def _outcome_report(label: str, outcome: Payload) -> MatrixReport:
+    """One replayed job's outcome as a report.  A sweep run that
+    completes is clean; a fuzz verdict names its own kind."""
+    if not outcome["ok"]:
+        return MatrixReport(
+            program_name=label,
+            kind="error",
+            divergences=[f"{outcome['error_type']}: {outcome['message']}"],
+        )
+    result = outcome["result"]
+    return MatrixReport(
+        program_name=label,
+        kind=result.get("kind", KIND_CLEAN),
+        divergences=list(result.get("divergences", [])),
+    )
 
 
 def replay_manifest(path: os.PathLike) -> List[Tuple[str, MatrixReport]]:
@@ -587,43 +515,14 @@ def replay_manifest(path: os.PathLike) -> List[Tuple[str, MatrixReport]]:
     results: List[Tuple[str, MatrixReport]] = []
     for entry in payload.get("failures", []):
         spec = entry.get("spec") or {}
-        label = entry.get("benchmark", "?")
         if spec.get("kind") == "fuzz":
             job = FuzzJob.from_spec(spec)
-            outcome = execute_fuzz_job(job)
-            if outcome["ok"]:
-                report = MatrixReport(
-                    program_name=job.label,
-                    kind=outcome["result"]["kind"],
-                    divergences=list(outcome["result"]["divergences"]),
-                )
-            else:
-                report = MatrixReport(
-                    program_name=job.label,
-                    kind="error",
-                    divergences=[
-                        f"{outcome['error_type']}: {outcome['message']}"
-                    ],
-                )
-            results.append((job.label, report))
+            label, outcome = job.label, execute_fuzz_job(job)
         elif spec.get("kind") == "sweep":
             job = SweepJob.from_spec(spec)
-            outcome = execute_job(job)
-            if outcome["ok"]:
-                report = MatrixReport(
-                    program_name=f"sweep/{job.benchmark}/{job.scheme}",
-                    kind=KIND_CLEAN,
-                )
-            else:
-                report = MatrixReport(
-                    program_name=f"sweep/{job.benchmark}/{job.scheme}",
-                    kind="error",
-                    divergences=[
-                        f"{outcome['error_type']}: {outcome['message']}"
-                    ],
-                )
-            results.append((report.program_name, report))
+            label, outcome = f"sweep/{job.benchmark}/{job.scheme}", execute_job(job)
         else:
+            label = entry.get("benchmark", "?")
             results.append(
                 (
                     label,
@@ -634,4 +533,6 @@ def replay_manifest(path: os.PathLike) -> List[Tuple[str, MatrixReport]]:
                     ),
                 )
             )
+            continue
+        results.append((label, _outcome_report(label, outcome)))
     return results

@@ -182,14 +182,12 @@ def chaos_worker(
 def chaos_key_digest(key: Any) -> str:
     """Digest of an engine key, whatever its shape.
 
-    Sweep engines key jobs by JSON-able dicts; the fuzz engine keys them
-    by the :class:`~repro.fuzz.session.FuzzJob` itself, whose ``spec()``
-    is the canonical JSON form.  ``repr`` is the last-ditch fallback so
-    chaos never crashes a campaign over an exotic key — determinism of
-    the *digest* is all the fault schedule needs.
+    Campaign engines key jobs by JSON-able values (a sweep's
+    :data:`~repro.harness.runner.RunKey`, a fuzz job's spec dict), the
+    same keys the store and ledger use.  ``repr`` is the last-ditch
+    fallback so chaos never crashes a campaign over an exotic key —
+    determinism of the *digest* is all the fault schedule needs.
     """
-    if hasattr(key, "spec"):
-        key = key.spec()
     try:
         return key_digest(key)
     except TypeError:

@@ -1,6 +1,6 @@
 """Experiment definitions: one function per paper table/figure.
 
-Each function takes an :class:`~repro.harness.runner.ExperimentSession`
+Each function takes a :class:`~repro.harness.parallel.ParallelSession`
 (so figures sharing runs reuse them) and returns a plain-data result
 object with a ``format_table()`` renderer that prints the same rows /
 series the paper reports.  The benchmark list defaults to every profile
@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import EmptyMeasurementError
 from repro.common.stats import geomean
-from repro.harness.runner import BASELINE_SCHEME, FIGURE_SCHEMES, ExperimentSession
+from repro.harness.parallel import ParallelSession
+from repro.harness.runner import BASELINE_SCHEME, FIGURE_SCHEMES
 from repro.workloads.profiles import benchmark_names
 
 #: The paper's §7 headline numbers (geomean fraction of baseline IPC).
@@ -70,7 +71,7 @@ class Figure6Result:
 
 
 def figure6_normalized_ipc(
-    session: ExperimentSession,
+    session: ParallelSession,
     benchmarks: Optional[Sequence[str]] = None,
     schemes: Sequence[str] = FIGURE_SCHEMES,
 ) -> Figure6Result:
@@ -137,7 +138,7 @@ class SummaryResult:
 
 
 def figure1_summary(
-    session: ExperimentSession,
+    session: ParallelSession,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> SummaryResult:
     """Regenerate Figure 1's red/green arrows and the §7 headline numbers."""
@@ -186,7 +187,7 @@ class Figure7Result:
 
 
 def figure7_coverage_accuracy(
-    session: ExperimentSession,
+    session: ParallelSession,
     benchmarks: Optional[Sequence[str]] = None,
     scheme: str = "dom+ap",
 ) -> Figure7Result:
@@ -248,7 +249,7 @@ class Figure8Result:
 
 
 def figure8_cache_traffic(
-    session: ExperimentSession,
+    session: ParallelSession,
     benchmarks: Optional[Sequence[str]] = None,
     schemes: Sequence[str] = FIGURE_SCHEMES,
 ) -> Figure8Result:
@@ -299,7 +300,7 @@ class UnsafeAPResult:
 
 
 def unsafe_ap_delta(
-    session: ExperimentSession,
+    session: ParallelSession,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> UnsafeAPResult:
     """Regenerate the §7 claim that AP gains only ~0.5% on the baseline."""

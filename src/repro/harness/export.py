@@ -24,7 +24,7 @@ from repro.harness.experiments import (
     Figure8Result,
     SummaryResult,
 )
-from repro.harness.runner import ExperimentSession
+from repro.harness.parallel import ParallelSession
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +157,7 @@ def summary_to_markdown(result: SummaryResult) -> str:
 # Per-benchmark drill-down
 # ----------------------------------------------------------------------
 def benchmark_report(
-    session: ExperimentSession,
+    session: ParallelSession,
     benchmark: str,
     schemes: Sequence[str] = ("nda", "nda+ap", "stt", "stt+ap", "dom", "dom+ap"),
 ) -> str:

@@ -1,8 +1,11 @@
-"""A generic fault-tolerant process-pool job engine.
+"""A generic fault-tolerant process-pool job engine, and the campaign
+around it.
 
-Extracted from :class:`repro.harness.parallel.ParallelSession` so any
-batch runner — the sweep session, the differential fuzzer — inherits the
-same hard-won failure semantics instead of re-implementing them:
+:class:`JobEngine` runs jobs; :class:`Campaign` gives a batch of them a
+directory: a result store, a progress ledger for ``--resume``, and a
+failure manifest.  The sweep session and the differential fuzzer are
+both campaigns, so they share one implementation of each.  The engine
+has these failure semantics:
 
 * **Waves with bounded retry** — every job resolves exactly once:
   success, deterministic failure, or a transient failure that exhausted
@@ -23,7 +26,8 @@ same hard-won failure semantics instead of re-implementing them:
 The engine is payload-shaped, not result-shaped: the worker must be a
 **module-level function** (pickled by qualified name into the pool) that
 **never raises**, returning a dict with at least ``ok`` (bool) and — for
-failures — ``transient`` (bool), ``error_type``, and ``message``.  The
+failures — ``transient`` (bool), ``error_type``, and ``message``;
+:func:`guarded` builds exactly that around a job body.  The
 ``describe`` hook supplies per-job label fields (benchmark/scheme,
 seed/profile, the full job spec...) merged into engine-generated
 timeout/crash payloads so every failure is attributable and replayable.
@@ -38,10 +42,27 @@ import random
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.common.errors import DeadlockError, InvariantViolationError, ReproError
+from repro.common.io import atomic_write_json
+from repro.harness.store import ProgressLedger, ResultStore, campaign_id
 
 Payload = Dict[str, Any]
 """What a worker returns: ``{"ok": True, ...}`` or a failure payload."""
+
+#: Version of the failure-manifest layout.  (Store entries are versioned
+#: by the store's own STORE_FORMAT_VERSION; see repro.harness.store.)
+CACHE_FORMAT_VERSION = 1
+
+#: Name of the per-campaign-directory record of failed runs.
+FAILURE_MANIFEST_NAME = "failure_manifest.json"
+
+#: Name of the per-campaign-directory progress ledger (see ProgressLedger).
+LEDGER_NAME = "ledger.jsonl"
 
 
 def backoff_schedule(
@@ -88,6 +109,46 @@ def failure_payload(
 
 def _no_fields(job: Any) -> Dict[str, Any]:
     return {}
+
+
+def _error_fields(error: ReproError) -> Dict[str, Any]:
+    """What a typed error carries beyond its message, so the parent can
+    re-raise it whole (and point at its crash dump)."""
+    if isinstance(error, InvariantViolationError):
+        return {
+            "invariant": error.invariant,
+            "violations": list(error.violations),
+            "dump_path": error.dump_path,
+        }
+    if isinstance(error, DeadlockError):
+        return {"kind": error.kind, "dump_path": error.dump_path}
+    return {}
+
+
+def guarded(
+    body: Callable[[Any], Any],
+    job: Any,
+    describe: Callable[[Any], Dict[str, Any]],
+) -> Payload:
+    """Run ``body(job)`` as a worker must: never raise.
+
+    Returns ``{"ok": True, "result": body(job)}`` or the failure as data.
+    Simulator errors (:class:`ReproError`) are deterministic; anything
+    else, a Ctrl-C in the worker included, is transient, so the parent
+    can flush finished results and retry later.  ``describe(job)``
+    labels a failure and is called only on failure.
+    """
+    try:
+        return {"ok": True, "result": body(job)}
+    except ReproError as error:
+        fields = {**describe(job), **_error_fields(error)}
+        return failure_payload(type(error).__name__, str(error), False, fields)
+    except KeyboardInterrupt:
+        message = "interrupted mid-run"
+        return failure_payload("KeyboardInterrupt", message, True, describe(job))
+    except Exception as error:  # crash isolation: bugs travel back as data
+        message = str(error) or repr(error)
+        return failure_payload(type(error).__name__, message, True, describe(job))
 
 
 class JobEngine:
@@ -330,3 +391,176 @@ class JobEngine:
                 process.kill()
             except (OSError, AttributeError):  # already gone
                 pass
+
+
+@dataclass
+class FailureRecord:
+    """One failed run, as recorded in the failure manifest.
+
+    ``spec`` carries the *complete* job description (window sizes, full
+    config, generator seed and knobs for fuzz jobs), and ``replay`` the
+    one command that re-runs it — so any manifest entry is reproducible
+    without reconstructing the campaign that produced it.
+    """
+
+    benchmark: str
+    scheme: str
+    error_type: str
+    message: str
+    attempts: int = 1
+    transient: bool = False
+    dump_path: Optional[str] = None
+    key: List[Any] = field(default_factory=list)
+    spec: Dict[str, Any] = field(default_factory=dict)
+    replay: Optional[str] = None
+
+    @classmethod
+    def from_payload(
+        cls,
+        key: Sequence[Any],
+        payload: Payload,
+        replay: Optional[str] = None,
+    ) -> "FailureRecord":
+        return cls(
+            benchmark=payload["benchmark"],
+            scheme=payload["scheme"],
+            error_type=payload["error_type"],
+            message=payload["message"],
+            attempts=payload.get("attempts", 1),
+            transient=payload.get("transient", False),
+            dump_path=payload.get("dump_path"),
+            key=list(key),
+            spec=dict(payload.get("spec", {})),
+            replay=payload.get("replay", replay),
+        )
+
+
+def replay_command(target: Optional[os.PathLike]) -> Optional[str]:
+    """The one-liner that re-runs a manifest's entries or a repro file."""
+    return None if target is None else f"python -m repro fuzz --replay {target}"
+
+
+class Campaign:
+    """Store, ledger, resume and manifest for a batch of jobs of one type.
+
+    A subclass is a job type: it keys its jobs, hands its module-level
+    worker to :meth:`execute` (read from the module's globals at each
+    call, so a wrapped worker is the one that runs), says what a
+    resolved payload means, and decides when to read the store and when
+    to write the manifest.  ``directory=None`` keeps it all in memory.
+    ``engine`` holds the :class:`JobEngine` options (``jobs``,
+    ``job_timeout``, ``retries``, ``retry_backoff``, ``mp_context``).
+    """
+
+    def __init__(
+        self,
+        directory: Optional[os.PathLike],
+        *,
+        store_dir: str,
+        namer: Callable[[Any], str],
+        describe: Callable[[Any], Dict[str, Any]],
+        resume: bool,
+        chaos: Optional[Any],
+        **engine: Any,
+    ):
+        self.directory = Path(directory) if directory is not None else None
+        self.resume = resume
+        self.store: Optional[ResultStore] = None
+        if self.directory is not None:
+            fs = chaos.fs if chaos is not None else None
+            self.store = ResultStore(self.directory / store_dir, fs=fs, namer=namer)
+        self.engine_options = dict(engine, describe=describe, chaos=chaos)
+        self.ledger_hits = 0
+        self._ledger: Optional[ProgressLedger] = None
+
+    @contextmanager
+    def journal(self, keys: Sequence[Any]) -> Iterator[None]:
+        """Keep the ledger of the campaign over ``keys`` open for a block.
+
+        Resuming adopts the previous ledger of the same key set; any other
+        starts fresh.  A ledger that cannot be opened (read-only
+        directory...) is not worth failing over: the campaign just runs
+        checkpoint-less.
+        """
+        if self.directory is not None:
+            try:
+                self._ledger = ProgressLedger(
+                    self.directory / LEDGER_NAME, campaign_id(keys), self.resume
+                )
+            except OSError:
+                pass
+        try:
+            yield
+        finally:
+            if self._ledger is not None:
+                self._ledger.close()
+                self._ledger = None
+
+    def replayed_failure(self, key: Any) -> Optional[Payload]:
+        """The deterministic failure a resumed ledger journaled for ``key``,
+        counted in :attr:`ledger_hits`.  Successes load from the store and
+        transient failures re-run, so both read as None."""
+        ledger = self._ledger
+        if ledger is None or not ledger.resumed:
+            return None
+        entry = ledger.get(key)
+        if entry is None or entry.get("ok", False):
+            return None
+        payload = entry.get("payload")
+        if not isinstance(payload, dict) or payload.get("transient", False):
+            return None
+        self.ledger_hits += 1
+        return payload
+
+    def execute(
+        self,
+        cold: Sequence[Tuple[Any, Any]],
+        worker: Callable[[Any], Payload],
+        resolve: Callable[[Any, Payload], None],
+        time_budget: Optional[float] = None,
+        started: float = 0.0,
+    ) -> int:
+        """Run cold ``(key, job)`` pairs; returns how many were left unrun.
+
+        ``resolve(key, payload)`` stores each job the moment it resolves,
+        and the ledger journals it right after, so a journaled success is
+        always in the store.  A ``time_budget`` (seconds after the
+        ``time.monotonic()`` reading ``started``) is checked between
+        batches of eight pool-loads, since each batch boundary pays a
+        pool restart and a wait for the slowest job; jobs in flight still
+        finish.  Without a budget all jobs run as one batch.
+        """
+        engine = JobEngine(worker, **self.engine_options)
+
+        def resolved(key: Any, payload: Payload) -> None:
+            resolve(key, payload)
+            if self._ledger is not None:
+                # The ledger entry is the done-marker; a failure carries its
+                # payload so a resumed run can replay a deterministic one.
+                ok = payload["ok"]
+                self._ledger.record(key, ok, None if ok else payload)
+
+        size = max(1, len(cold) if time_budget is None else engine.jobs * 8)
+        for start in range(0, len(cold), size):
+            if time_budget is not None and time.monotonic() - started > time_budget:
+                return len(cold) - start
+            engine.run(cold[start : start + size], resolved)
+        return 0
+
+    @property
+    def failure_manifest_path(self) -> Optional[Path]:
+        if self.directory is None:
+            return None
+        return self.directory / FAILURE_MANIFEST_NAME
+
+    def save_manifest(self, records: Sequence[FailureRecord]) -> Optional[Path]:
+        """Atomically write ``records`` as the versioned failure manifest
+        (None without a directory).  An empty list is the all-clear."""
+        path = self.failure_manifest_path
+        if path is None:
+            return None
+        payload = {
+            "version": CACHE_FORMAT_VERSION,
+            "failures": [asdict(record) for record in records],
+        }
+        return atomic_write_json(path, payload, indent=2)

@@ -2,9 +2,9 @@
 
 The paper's evaluation is a (benchmark × scheme) matrix — Figures 1, 6,
 7, and 8 all re-sweep the same seven configurations over every SPEC
-stand-in.  :class:`ParallelSession` is a drop-in replacement for
-:class:`~repro.harness.runner.ExperimentSession` that makes that matrix
-cheap twice over:
+stand-in.  :class:`ParallelSession` is the one session every figure
+runs through; ``jobs=1`` runs each pair inline with the same memo.  It
+makes that matrix cheap twice over:
 
 * **Parallel** — :meth:`ParallelSession.sweep` fans the pairs out over a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker receives
@@ -33,7 +33,9 @@ cheap twice over:
   later fixes until the cache directory is cleared, so failures live in
   the session memo only.  A progress ledger (``ledger.jsonl``) journals
   every resolution; ``resume=True`` adopts it so an interrupted campaign
-  loses at most the in-flight wave.
+  loses at most the in-flight wave.  The store, ledger and manifest
+  come from :class:`~repro.harness.jobs.Campaign`, which the fuzzing
+  session shares.
 
 Failure semantics (the fault-tolerance layer):
 
@@ -63,9 +65,9 @@ Failure semantics (the fault-tolerance layer):
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import (
     SystemConfig,
@@ -81,10 +83,8 @@ from repro.common.errors import (
     ReproError,
     WorkerCrashError,
 )
-from repro.common.io import atomic_write_json
 from repro.common.stats import RunResult
-from repro.harness.jobs import JobEngine, failure_payload
-from repro.harness.store import ProgressLedger, ResultStore, campaign_id
+from repro.harness.jobs import Campaign, FailureRecord, guarded, replay_command
 from repro.harness.runner import (
     BASELINE_SCHEME,
     DEFAULT_MEASURE,
@@ -93,16 +93,6 @@ from repro.harness.runner import (
     run_benchmark,
     run_key,
 )
-
-#: Version of the failure-manifest layout.  (Cache entries are versioned
-#: by the store's own STORE_FORMAT_VERSION; see repro.harness.store.)
-CACHE_FORMAT_VERSION = 1
-
-#: Name of the per-cache-directory record of failed runs.
-FAILURE_MANIFEST_NAME = "failure_manifest.json"
-
-#: Name of the per-cache-directory progress ledger (see ProgressLedger).
-LEDGER_NAME = "ledger.jsonl"
 
 
 def _sweep_entry_slug(key: RunKey) -> str:
@@ -159,70 +149,27 @@ def sweep_job_fields(job: SweepJob) -> Dict[str, Any]:
     }
 
 
-def _failure_payload(
-    job: SweepJob,
-    error_type: str,
-    message: str,
-    transient: bool,
-    **extra: Any,
-) -> Dict[str, Any]:
-    payload = failure_payload(
-        error_type, message, transient, fields=sweep_job_fields(job)
+def _run_sweep_job(job: SweepJob) -> Dict[str, Any]:
+    result = run_benchmark(
+        job.benchmark,
+        job.scheme,
+        config_from_dict(job.config),
+        job.warmup,
+        job.measure,
     )
-    payload.update(extra)
-    return payload
+    return result.to_dict()
 
 
 def execute_job(job: SweepJob) -> Dict[str, Any]:
     """Worker entry point: rebuild the Core, run, return plain data.
 
     Must stay a module-level function (pickled by name into the pool) and
-    must never raise: errors travel back as data so one bad pair cannot
-    poison the pool or lose the rest of a sweep.  Simulator errors
-    (:class:`ReproError`) are deterministic and marked non-transient;
-    anything else — including a ``KeyboardInterrupt`` delivered to the
-    worker when the user hits Ctrl-C — is transient, so the parent can
-    finish flushing completed results and retry cleanly later instead of
-    unwinding through a half-written pool protocol.
+    must never raise: :func:`~repro.harness.jobs.guarded` returns errors
+    as data, so one bad pair cannot poison the pool or lose the rest of a
+    sweep.  Simulator errors are deterministic; anything else, a Ctrl-C
+    in the worker included, is transient.
     """
-    try:
-        result = run_benchmark(
-            job.benchmark,
-            job.scheme,
-            config_from_dict(job.config),
-            job.warmup,
-            job.measure,
-        )
-        return {"ok": True, "result": result.to_dict()}
-    except InvariantViolationError as error:
-        return _failure_payload(
-            job,
-            type(error).__name__,
-            str(error),
-            transient=False,
-            invariant=error.invariant,
-            violations=list(error.violations),
-            dump_path=error.dump_path,
-        )
-    except DeadlockError as error:
-        return _failure_payload(
-            job,
-            type(error).__name__,
-            str(error),
-            transient=False,
-            kind=error.kind,
-            dump_path=error.dump_path,
-        )
-    except ReproError as error:
-        return _failure_payload(job, type(error).__name__, str(error), transient=False)
-    except KeyboardInterrupt:
-        return _failure_payload(
-            job, "KeyboardInterrupt", "interrupted mid-run", transient=True
-        )
-    except Exception as error:  # crash isolation: bugs travel back as data
-        return _failure_payload(
-            job, type(error).__name__, str(error) or repr(error), transient=True
-        )
+    return guarded(_run_sweep_job, job, sweep_job_fields)
 
 
 def _raise_job_error(payload: Dict[str, Any]) -> None:
@@ -259,68 +206,8 @@ def _raise_job_error(payload: Dict[str, Any]) -> None:
     raise ReproError(labelled)
 
 
-@dataclass
-class SkippedRun:
-    """A pair that a skip-errors sweep dropped, and why."""
-
-    benchmark: str
-    scheme: str
-    message: str
-    error_type: str = "ReproError"
-    dump_path: Optional[str] = None
-
-
-@dataclass
-class FailureRecord:
-    """One failed run, as recorded in the failure manifest.
-
-    ``spec`` carries the *complete* job description (window sizes, full
-    config, generator seed and knobs for fuzz jobs), and ``replay`` the
-    one command that re-runs it — so any manifest entry is reproducible
-    without reconstructing the sweep that produced it.
-    """
-
-    benchmark: str
-    scheme: str
-    error_type: str
-    message: str
-    attempts: int = 1
-    transient: bool = False
-    dump_path: Optional[str] = None
-    key: List[Any] = field(default_factory=list)
-    spec: Dict[str, Any] = field(default_factory=dict)
-    replay: Optional[str] = None
-
-    @classmethod
-    def from_payload(
-        cls,
-        key: Sequence[Any],
-        payload: Dict[str, Any],
-        replay: Optional[str] = None,
-    ) -> "FailureRecord":
-        return cls(
-            benchmark=payload["benchmark"],
-            scheme=payload["scheme"],
-            error_type=payload["error_type"],
-            message=payload["message"],
-            attempts=payload.get("attempts", 1),
-            transient=payload.get("transient", False),
-            dump_path=payload.get("dump_path"),
-            key=list(key),
-            spec=dict(payload.get("spec", {})),
-            replay=payload.get("replay", replay),
-        )
-
-
-def replay_command(manifest_path: Optional[Path]) -> Optional[str]:
-    """The one-liner that re-runs every failure in a manifest."""
-    if manifest_path is None:
-        return None
-    return f"python -m repro fuzz --replay {manifest_path}"
-
-
-class ParallelSession:
-    """Parallel, disk-backed, fault-tolerant drop-in for ``ExperimentSession``.
+class ParallelSession(Campaign):
+    """Parallel, disk-backed, fault-tolerant experiment session.
 
     Parameters
     ----------
@@ -369,32 +256,30 @@ class ParallelSession:
         resume: bool = False,
         chaos: Optional[Any] = None,
     ):
+        super().__init__(
+            cache_dir,
+            store_dir="",
+            namer=_sweep_entry_slug,
+            describe=sweep_job_fields,
+            resume=resume,
+            chaos=chaos,
+            jobs=jobs,
+            job_timeout=job_timeout,
+            retries=retries,
+            retry_backoff=retry_backoff,
+            mp_context=mp_context,
+        )
         self.config = config if config is not None else default_config()
         self.warmup = warmup
         self.measure = measure
-        self.jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.job_timeout = job_timeout
-        self.retries = max(0, retries)
-        self.retry_backoff = max(0.0, retry_backoff)
-        self.mp_context = mp_context
-        self.resume = resume
-        self.chaos = chaos
-        self.store: Optional[ResultStore] = None
-        if self.cache_dir is not None:
-            self.store = ResultStore(
-                self.cache_dir,
-                fs=chaos.fs if chaos is not None else None,
-                namer=_sweep_entry_slug,
-            )
         self._memo: Dict[RunKey, RunResult] = {}
         self._failures: Dict[RunKey, Dict[str, Any]] = {}
-        self.skipped: List[SkippedRun] = []
+        self.skipped: List[FailureRecord] = []
         # Provenance counters: where did each requested run come from?
+        # (ledger_hits is the campaign's.)
         self.memo_hits = 0
         self.disk_hits = 0
         self.simulated = 0
-        self.ledger_hits = 0
 
     # ------------------------------------------------------------------
     # Keys and the on-disk cache
@@ -431,12 +316,16 @@ class ParallelSession:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def _lookup(self, key: RunKey) -> Optional[RunResult]:
-        """Memo, then disk.  Replays memoized *deterministic* failures;
-        transient ones (timeout, crash) read as a miss so they re-run."""
+    def _known_failure(self, key: RunKey) -> Optional[Dict[str, Any]]:
+        """The *deterministic* failure this session recorded for ``key``;
+        a transient one (timeout, crash) reads as None so it re-runs."""
         recorded = self._failures.get(key)
-        if recorded is not None and not recorded.get("transient", False):
-            _raise_job_error(recorded)
+        if recorded is None or recorded.get("transient", False):
+            return None
+        return recorded
+
+    def _lookup(self, key: RunKey) -> Optional[RunResult]:
+        """Memo, then disk, counting where a hit came from."""
         if key in self._memo:
             self.memo_hits += 1
             return self._memo[key]
@@ -444,10 +333,11 @@ class ParallelSession:
         if from_disk is not None:
             self.disk_hits += 1
             self._memo[key] = from_disk
-            return from_disk
-        return None
+        return from_disk
 
-    def _store(self, key: RunKey, payload: Dict[str, Any]) -> Optional[RunResult]:
+    def _resolve(self, key: RunKey, payload: Dict[str, Any]) -> Optional[RunResult]:
+        """Record one simulated pair: its result, or its failure."""
+        self.simulated += 1
         if not payload["ok"]:
             # Failures are memoized in the session only — never written
             # to the disk cache, where they would mask later fixes until
@@ -463,14 +353,16 @@ class ParallelSession:
     def run(self, benchmark: str, scheme: str) -> RunResult:
         """Run (or recall) one pair.  Always inline — no pool spin-up."""
         key = self._key(benchmark, scheme)
+        recorded = self._known_failure(key)
+        if recorded is not None:
+            _raise_job_error(recorded)
         found = self._lookup(key)
         if found is not None:
             return found
-        self.simulated += 1
         payload = execute_job(
             SweepJob.build(benchmark, scheme, self.warmup, self.measure, self.config)
         )
-        result = self._store(key, payload)
+        result = self._resolve(key, payload)
         if result is None:
             _raise_job_error(payload)
         return result
@@ -483,9 +375,8 @@ class ParallelSession:
     ) -> List[RunResult]:
         """Run the full (benchmark × scheme) grid, fanned out over the pool.
 
-        Results come back in the same order as the serial
-        ``ExperimentSession.sweep`` — ``for b in benchmarks for s in
-        schemes`` — regardless of worker scheduling, minus failed pairs
+        Results come back in request order — ``for b in benchmarks for s
+        in schemes`` — regardless of worker scheduling, minus failed pairs
         when ``skip_errors`` is set (those are appended to
         :attr:`skipped`).  Each run is cached the moment it finishes, so
         interrupting a sweep preserves all completed work; after the cold
@@ -496,172 +387,65 @@ class ParallelSession:
             (b, s) for b in benchmarks for s in schemes
         ]
         keys = [self._key(b, s) for b, s in pairs]
-        ledger = self._open_ledger(keys)
-
-        # Resolve memo/disk/ledger hits first; only cold pairs reach the
-        # pool.  A pair may appear twice in a grid; dedupe while keeping
-        # order.  A *transient* recorded failure does not count as
-        # resolved — the pair re-runs; only deterministic failures replay
-        # (from the memo, or from a resumed ledger).
-        cold: List[Tuple[RunKey, SweepJob]] = []
-        seen = set()
-        for key, (benchmark, scheme) in zip(keys, pairs):
-            if key in seen:
-                continue
-            recorded = self._failures.get(key)
-            if recorded is not None and not recorded.get("transient", False):
-                continue
-            if key in self._memo:
-                self.memo_hits += 1
-                continue
-            from_disk = self._disk_load(key)
-            if from_disk is not None:
-                self.disk_hits += 1
-                self._memo[key] = from_disk
-                continue
-            replayed = self._ledger_failure(ledger, key)
-            if replayed is not None:
-                self.ledger_hits += 1
-                self._failures[key] = replayed
-                continue
-            seen.add(key)
-            cold.append(
-                (
-                    key,
-                    SweepJob.build(
-                        benchmark, scheme, self.warmup, self.measure, self.config
-                    ),
+        with self.journal(keys):
+            # Resolve memo/disk/ledger hits first; only cold pairs reach
+            # the pool.  A pair may appear twice in a grid; dedupe while
+            # keeping order.  A *transient* recorded failure does not
+            # count as resolved — the pair re-runs; only deterministic
+            # failures replay (from the memo, or from a resumed ledger).
+            cold: List[Tuple[RunKey, SweepJob]] = []
+            seen = set()
+            for key, (benchmark, scheme) in zip(keys, pairs):
+                if (
+                    key in seen
+                    or self._known_failure(key) is not None
+                    or self._lookup(key) is not None
+                ):
+                    continue
+                replayed = self.replayed_failure(key)
+                if replayed is not None:
+                    self._failures[key] = replayed
+                    continue
+                seen.add(key)
+                job = SweepJob.build(
+                    benchmark, scheme, self.warmup, self.measure, self.config
                 )
-            )
-
-        try:
+                cold.append((key, job))
             if cold:
                 try:
-                    self._run_jobs(cold, ledger)
+                    self.execute(cold, execute_job, self._resolve)
                 finally:
                     # Even an interrupted sweep leaves an accurate manifest
                     # for whatever resolved before the interrupt.
                     self.write_failure_manifest()
-        finally:
-            if ledger is not None:
-                ledger.close()
 
         results: List[RunResult] = []
-        for key, (benchmark, scheme) in zip(keys, pairs):
-            if key in self._failures:
-                payload = self._failures[key]
-                if not skip_errors:
-                    _raise_job_error(payload)
-                self.skipped.append(
-                    SkippedRun(
-                        benchmark,
-                        scheme,
-                        payload["message"],
-                        error_type=payload["error_type"],
-                        dump_path=payload.get("dump_path"),
-                    )
-                )
+        for key in keys:
+            payload = self._failures.get(key)
+            if payload is None:
+                results.append(self._memo[key])
                 continue
-            results.append(self._memo[key])
+            if not skip_errors:
+                _raise_job_error(payload)
+            self.skipped.append(self._failure_record(key, payload))
         return results
-
-    # ------------------------------------------------------------------
-    # The progress ledger (checkpoint/resume)
-    # ------------------------------------------------------------------
-    @property
-    def ledger_path(self) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / LEDGER_NAME
-
-    def _open_ledger(self, keys: Sequence[RunKey]) -> Optional[ProgressLedger]:
-        """The campaign's ledger — adopting the previous run's when
-        resuming the same grid, starting fresh otherwise.  A ledger that
-        cannot be opened (read-only cache dir...) is not worth failing a
-        sweep over; the sweep just runs checkpoint-less."""
-        path = self.ledger_path
-        if path is None:
-            return None
-        try:
-            return ProgressLedger(path, campaign_id(keys), resume=self.resume)
-        except OSError:
-            return None
-
-    @staticmethod
-    def _ledger_failure(
-        ledger: Optional[ProgressLedger], key: RunKey
-    ) -> Optional[Dict[str, Any]]:
-        """A resumed ledger's *deterministic* failure for ``key``, if any.
-
-        Successes need no replay (their results load from the store);
-        transient failures re-run, same as within one session.
-        """
-        if ledger is None or not ledger.resumed:
-            return None
-        entry = ledger.get(key)
-        if entry is None or entry.get("ok", False):
-            return None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict) or payload.get("transient", False):
-            return None
-        return payload
-
-    # ------------------------------------------------------------------
-    # The fault-tolerant job engine
-    # ------------------------------------------------------------------
-    def _run_jobs(
-        self,
-        cold: Sequence[Tuple[RunKey, SweepJob]],
-        ledger: Optional[ProgressLedger] = None,
-    ) -> None:
-        """Run cold jobs through the generic wave/retry engine.
-
-        The engine (:class:`~repro.harness.jobs.JobEngine`) owns the
-        failure semantics — bounded retry of transients, per-wave
-        timeouts with worker kill, crash isolation on a broken pool —
-        and stores + journals each job the moment it resolves, so an
-        interrupt can only lose jobs still in flight.
-        """
-        engine = JobEngine(
-            execute_job,
-            jobs=self.jobs,
-            job_timeout=self.job_timeout,
-            retries=self.retries,
-            retry_backoff=self.retry_backoff,
-            mp_context=self.mp_context,
-            describe=sweep_job_fields,
-            chaos=self.chaos,
-        )
-
-        def resolved(key: RunKey, payload: Dict[str, Any]) -> None:
-            self.simulated += 1
-            self._store(key, payload)
-            if ledger is not None:
-                # Success results live in the store; the ledger entry is
-                # the done-marker.  Failures carry their payload so a
-                # resumed run can replay deterministic ones verbatim.
-                ledger.record(
-                    key, payload["ok"], None if payload["ok"] else payload
-                )
-
-        engine.run(cold, resolved)
 
     # ------------------------------------------------------------------
     # Failure introspection
     # ------------------------------------------------------------------
+    def _failure_record(
+        self, key: RunKey, payload: Dict[str, Any]
+    ) -> FailureRecord:
+        return FailureRecord.from_payload(
+            key, payload, replay=replay_command(self.failure_manifest_path)
+        )
+
     def failures(self) -> List[FailureRecord]:
         """Every currently-recorded failed run, as structured records."""
-        replay = replay_command(self.failure_manifest_path)
         return [
-            FailureRecord.from_payload(key, payload, replay=replay)
+            self._failure_record(key, payload)
             for key, payload in sorted(self._failures.items())
         ]
-
-    @property
-    def failure_manifest_path(self) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / FAILURE_MANIFEST_NAME
 
     def write_failure_manifest(self) -> Optional[Path]:
         """Write the failure manifest; returns its path (None if no cache).
@@ -670,17 +454,10 @@ class ParallelSession:
         ``failures`` list is the machine-readable all-clear, replacing
         any stale manifest from an earlier broken run.
         """
-        path = self.failure_manifest_path
-        if path is None:
-            return None
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "failures": [asdict(record) for record in self.failures()],
-        }
-        return atomic_write_json(path, payload, indent=2)
+        return self.save_manifest(self.failures())
 
     # ------------------------------------------------------------------
-    # ExperimentSession-compatible derived metrics / introspection
+    # Derived metrics / introspection
     # ------------------------------------------------------------------
     def normalized_ipc(self, benchmark: str, scheme: str) -> float:
         """IPC of ``scheme`` normalized to the unsafe baseline."""

@@ -3,18 +3,18 @@
 The paper measures 100M-instruction simpoints after warmup; we scale that
 to Python speeds with an explicit warmup window (caches, branch predictor,
 and stride table train) followed by a measurement window whose counter
-*deltas* are reported.  :class:`ExperimentSession` memoizes runs so the
-figures that share configurations (6, 7, 8 all use the same sweep) don't
-re-simulate.
+*deltas* are reported.  :class:`~repro.harness.parallel.ParallelSession`
+memoizes runs under :func:`run_key` so the figures that share
+configurations (6, 7, 8 all use the same sweep) don't re-simulate.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import fields
+from typing import Dict, Optional, Tuple
 
-from repro.common.config import SystemConfig, default_config
+from repro.common.config import SystemConfig
 from repro.common.errors import EmptyMeasurementError
 from repro.common.stats import RunResult, SimStats
 from repro.isa.program import Program
@@ -118,9 +118,10 @@ def run_benchmark(
 #: The memo key of one run: (benchmark, scheme, warmup, measure,
 #: config fingerprint).  The window sizes and the config digest are part
 #: of the key so mutating ``session.warmup`` / ``session.config`` after a
-#: run can never replay results from the old configuration, and so the
-#: in-memory memo and the on-disk cache (:mod:`repro.harness.parallel`)
-#: agree on what "the same experiment" means.
+#: run can never replay results from the old configuration.  A session's
+#: in-memory memo and its on-disk cache (:mod:`repro.harness.parallel`)
+#: both use this one key, so they agree on what "the same experiment"
+#: means by construction.
 RunKey = Tuple[str, str, int, int, str]
 
 
@@ -134,46 +135,3 @@ def run_key(
     """The canonical memo key shared by every runner and cache layer."""
     return (benchmark, scheme, warmup, measure, config.fingerprint())
 
-
-@dataclass
-class ExperimentSession:
-    """A memoizing runner shared by all figure-regeneration code."""
-
-    config: Optional[SystemConfig] = None
-    warmup: int = DEFAULT_WARMUP
-    measure: int = DEFAULT_MEASURE
-
-    def __post_init__(self) -> None:
-        if self.config is None:
-            self.config = default_config()
-        self._cache: Dict[RunKey, RunResult] = {}
-
-    def _key(self, benchmark: str, scheme: str) -> RunKey:
-        return run_key(benchmark, scheme, self.warmup, self.measure, self.config)
-
-    def run(self, benchmark: str, scheme: str) -> RunResult:
-        key = self._key(benchmark, scheme)
-        if key not in self._cache:
-            self._cache[key] = run_benchmark(
-                benchmark, scheme, self.config, self.warmup, self.measure
-            )
-        return self._cache[key]
-
-    def sweep(
-        self, benchmarks: Iterable[str], schemes: Iterable[str]
-    ) -> List[RunResult]:
-        return [self.run(b, s) for b in benchmarks for s in schemes]
-
-    def normalized_ipc(self, benchmark: str, scheme: str) -> float:
-        """IPC of ``scheme`` normalized to the unsafe baseline."""
-        baseline = self.run(benchmark, BASELINE_SCHEME).ipc
-        if baseline == 0:
-            raise EmptyMeasurementError(
-                "baseline committed nothing in its measurement window",
-                benchmark=benchmark,
-                scheme=BASELINE_SCHEME,
-            )
-        return self.run(benchmark, scheme).ipc / baseline
-
-    def cached_runs(self) -> int:
-        return len(self._cache)

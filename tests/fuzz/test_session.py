@@ -1,7 +1,12 @@
 """Campaign plumbing: jobs, repro files, manifest, and replay."""
 
 import json
+from dataclasses import asdict
 
+import pytest
+
+from repro.common.errors import ConfigError
+from repro.fuzz import session as fuzz_session
 from repro.fuzz.corpus import ReproFile
 from repro.fuzz.differential import KIND_ARCH, KIND_CLEAN
 from repro.fuzz.profiles import get_profile, resolve_profiles
@@ -182,3 +187,93 @@ class TestResume:
         assert replay.store_hits == 1
         assert len(replay.findings) == 1
         assert replay.findings[0].kind == summary.findings[0].kind
+
+
+def _as_json(record):
+    return json.dumps(asdict(record), sort_keys=True)
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """Count ``generate_program`` calls per seed; a seed listed in
+    ``failing`` raises the exception mapped to it."""
+    calls = []
+    failing = {}
+    real = fuzz_session.generate_program
+
+    def generate(seed, profile):
+        calls.append(seed)
+        if seed in failing:
+            raise failing[seed]
+        return real(seed, profile)
+
+    monkeypatch.setattr(fuzz_session, "generate_program", generate)
+    return calls, failing
+
+
+class TestResumeFailures:
+    """Resume treats a journaled failure by its kind, as sweeps do: a
+    deterministic one replays from the ledger, a transient one re-runs."""
+
+    def _session(self, tmp_path, resume=False):
+        return FuzzSession(
+            schemes=SMOKE_SCHEMES,
+            matrix="schemes",
+            jobs=1,
+            retries=1,
+            retry_backoff=0.0,
+            repro_dir=tmp_path,
+            resume=resume,
+        )
+
+    def test_deterministic_failure_replays_from_ledger(
+        self, tmp_path, generator_calls
+    ):
+        calls, failing = generator_calls
+        failing[1] = ConfigError("no program for seed 1")
+        profiles = resolve_profiles(("default",))
+        first = self._session(tmp_path).run([0, 1], profiles)
+        assert calls == [0, 1]  # deterministic: never retried
+        (failure,) = first.failures
+        assert failure.error_type == "ConfigError"
+
+        calls.clear()
+        resumed = self._session(tmp_path, resume=True)
+        summary = resumed.run([0, 1], profiles)
+        assert calls == []
+        assert summary.store_hits == 1
+        assert summary.programs == 2
+        assert summary.clean == 1
+        (replayed,) = summary.failures
+        # The ledger holds JSON, so compare the records as JSON.
+        assert _as_json(replayed) == _as_json(failure)
+        assert resumed.ledger_hits == 1
+        manifest = json.loads((tmp_path / "failure_manifest.json").read_text())
+        (entry,) = manifest["failures"]
+        assert entry["error_type"] == "ConfigError"
+        assert entry["benchmark"] == "fuzz/default/seed1"
+
+    def test_transient_failure_runs_again(self, tmp_path, generator_calls):
+        calls, failing = generator_calls
+        failing[1] = RuntimeError("flaky infrastructure")
+        profiles = resolve_profiles(("default",))
+        first = self._session(tmp_path).run([0, 1], profiles)
+        assert calls == [0, 1, 1]  # one retry, then journaled as failed
+        (failure,) = first.failures
+        assert (failure.error_type, failure.transient) == ("RuntimeError", True)
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "ledger.jsonl").read_text().splitlines()
+        ]
+        (journaled,) = [r for r in records if r.get("ok") is False]
+        assert journaled["payload"]["transient"] is True
+
+        calls.clear()
+        failing.clear()
+        resumed = self._session(tmp_path, resume=True)
+        summary = resumed.run([0, 1], profiles)
+        assert calls == [1]
+        assert summary.store_hits == 1
+        assert summary.programs == summary.clean == 2
+        assert summary.failures == []
+        assert resumed.ledger_hits == 0

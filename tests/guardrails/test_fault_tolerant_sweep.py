@@ -22,12 +22,8 @@ from repro.common.errors import (
 )
 from repro.common.stats import RunResult, SimStats
 from repro.harness import parallel
-from repro.harness.parallel import (
-    FAILURE_MANIFEST_NAME,
-    ParallelSession,
-    SweepJob,
-    execute_job,
-)
+from repro.harness.jobs import FAILURE_MANIFEST_NAME
+from repro.harness.parallel import ParallelSession, SweepJob, execute_job
 
 BENCHMARKS = ("mcf", "hmmer", "lbm")
 

@@ -16,14 +16,14 @@ from repro.harness.experiments import (
     figure8_cache_traffic,
     unsafe_ap_delta,
 )
-from repro.harness.runner import ExperimentSession
+from repro.harness.parallel import ParallelSession
 
 BENCHES = ("libquantum", "mcf", "hmmer")
 
 
 @pytest.fixture(scope="module")
 def session():
-    return ExperimentSession(warmup=1500, measure=6000)
+    return ParallelSession(warmup=1500, measure=6000, jobs=1)
 
 
 class TestFigure6:

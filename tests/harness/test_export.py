@@ -19,14 +19,14 @@ from repro.harness.export import (
     figure8_to_csv,
     summary_to_markdown,
 )
-from repro.harness.runner import ExperimentSession
+from repro.harness.parallel import ParallelSession
 
 BENCHES = ("hmmer", "mcf")
 
 
 @pytest.fixture(scope="module")
 def session():
-    return ExperimentSession(warmup=800, measure=3000)
+    return ParallelSession(warmup=800, measure=3000, jobs=1)
 
 
 class TestCSV:

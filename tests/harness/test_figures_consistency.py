@@ -8,14 +8,14 @@ from repro.harness.experiments import (
     figure6_normalized_ipc,
     figure7_coverage_accuracy,
 )
-from repro.harness.runner import ExperimentSession
+from repro.harness.parallel import ParallelSession
 
 BENCHES = ("hmmer", "libquantum")
 
 
 @pytest.fixture(scope="module")
 def session():
-    return ExperimentSession(warmup=1000, measure=4000)
+    return ParallelSession(warmup=1000, measure=4000, jobs=1)
 
 
 class TestCrossFigureConsistency:

@@ -1,19 +1,19 @@
 """Tests for the parallel, persistent experiment runner.
 
-The headline contracts: a pooled sweep is bit-identical to the serial
-``ExperimentSession`` for every pair, and a second session pointed at a
-warm on-disk cache re-simulates nothing.
+The headline contracts: a pooled sweep is bit-identical to direct
+``run_benchmark`` calls for every pair, and a second session pointed at
+a warm on-disk cache re-simulates nothing.
 """
 
 import pickle
 
 import pytest
 
-from repro.common.config import small_config
+from repro.common.config import default_config, small_config
 from repro.common.errors import EmptyMeasurementError
 from repro.common.stats import RunResult, SimStats
 from repro.harness.parallel import ParallelSession, SweepJob, execute_job
-from repro.harness.runner import ExperimentSession, run_key
+from repro.harness.runner import run_benchmark
 
 BENCHMARKS = ("hmmer", "mcf", "libquantum")
 SCHEMES = ("unsafe", "dom")
@@ -22,13 +22,17 @@ WARMUP, MEASURE = 300, 900
 
 @pytest.fixture(scope="module")
 def serial_results():
-    session = ExperimentSession(warmup=WARMUP, measure=MEASURE)
-    return session.sweep(BENCHMARKS, SCHEMES)
+    config = default_config()
+    return [
+        run_benchmark(benchmark, scheme, config, WARMUP, MEASURE)
+        for benchmark in BENCHMARKS
+        for scheme in SCHEMES
+    ]
 
 
 class TestParity:
     def test_parallel_matches_serial_bit_identical(self, serial_results, tmp_path):
-        """Acceptance: >= 6 pairs with --jobs 4 equal the serial session."""
+        """Acceptance: >= 6 pairs with --jobs 4 equal direct runs."""
         session = ParallelSession(
             warmup=WARMUP, measure=MEASURE, jobs=4, cache_dir=tmp_path
         )
@@ -213,13 +217,3 @@ class TestErrorHandling:
                 session.run(tiny_benchmark, "unsafe")
         assert session.simulated == 1
 
-
-class TestKeySharing:
-    def test_memo_and_disk_use_the_same_key(self, tmp_path):
-        """ExperimentSession's memo key and ParallelSession's disk key
-        are both run_key(): same fields, same fingerprint."""
-        serial = ExperimentSession(warmup=WARMUP, measure=MEASURE)
-        parallel = ParallelSession(warmup=WARMUP, measure=MEASURE, jobs=1)
-        expected = run_key("hmmer", "dom", WARMUP, MEASURE, serial.config)
-        assert serial._key("hmmer", "dom") == expected
-        assert parallel._key("hmmer", "dom") == expected

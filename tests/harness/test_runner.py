@@ -5,10 +5,10 @@ import pytest
 from repro.common.config import small_config
 from repro.common.errors import ConfigError, EmptyMeasurementError
 from repro.common.stats import RunResult, SimStats
+from repro.harness.parallel import ParallelSession
 from repro.harness.runner import (
     BASELINE_SCHEME,
     FIGURE_SCHEMES,
-    ExperimentSession,
     run_benchmark,
     run_key,
     run_program,
@@ -64,20 +64,22 @@ class TestRunBenchmark:
             run_benchmark("nonexistent", "unsafe")
 
 
-class TestExperimentSession:
+class TestInlineSession:
+    """``ParallelSession(jobs=1)`` runs each pair inline and memoizes it."""
+
     def test_memoization(self):
-        session = ExperimentSession(warmup=500, measure=1200)
+        session = ParallelSession(warmup=500, measure=1200, jobs=1)
         first = session.run("hmmer", "unsafe")
         second = session.run("hmmer", "unsafe")
         assert first is second
         assert session.cached_runs() == 1
 
     def test_normalized_ipc_baseline_is_one(self):
-        session = ExperimentSession(warmup=500, measure=1200)
+        session = ParallelSession(warmup=500, measure=1200, jobs=1)
         assert session.normalized_ipc("hmmer", BASELINE_SCHEME) == pytest.approx(1.0)
 
     def test_sweep_covers_grid(self):
-        session = ExperimentSession(warmup=500, measure=1000)
+        session = ParallelSession(warmup=500, measure=1000, jobs=1)
         results = session.sweep(["hmmer"], ["unsafe", "dom"])
         assert len(results) == 2
         assert session.cached_runs() == 2
@@ -91,7 +93,7 @@ class TestSessionCacheKey:
     so mutating the session after a run silently replayed stale results."""
 
     def test_measure_change_invalidates_memo(self):
-        session = ExperimentSession(warmup=400, measure=900)
+        session = ParallelSession(warmup=400, measure=900, jobs=1)
         short = session.run("hmmer", "unsafe")
         session.measure = 1800
         long = session.run("hmmer", "unsafe")
@@ -100,14 +102,14 @@ class TestSessionCacheKey:
         assert session.cached_runs() == 2
 
     def test_warmup_change_invalidates_memo(self):
-        session = ExperimentSession(warmup=400, measure=900)
+        session = ParallelSession(warmup=400, measure=900, jobs=1)
         first = session.run("hmmer", "unsafe")
         session.warmup = 1200
         second = session.run("hmmer", "unsafe")
         assert second is not first
 
     def test_config_change_invalidates_memo(self):
-        session = ExperimentSession(warmup=400, measure=900)
+        session = ParallelSession(warmup=400, measure=900, jobs=1)
         default = session.run("hmmer", "unsafe")
         session.config = small_config()
         small = session.run("hmmer", "unsafe")
@@ -117,14 +119,14 @@ class TestSessionCacheKey:
         assert small.stats.cycles != default.stats.cycles
 
     def test_key_includes_windows_and_fingerprint(self):
-        session = ExperimentSession(warmup=400, measure=900)
+        session = ParallelSession(warmup=400, measure=900, jobs=1)
         key = session._key("hmmer", "dom")
         assert key == run_key("hmmer", "dom", 400, 900, session.config)
         assert key[2:4] == (400, 900)
         assert key[4] == session.config.fingerprint()
 
     def test_unchanged_session_still_memoizes(self):
-        session = ExperimentSession(warmup=400, measure=900)
+        session = ParallelSession(warmup=400, measure=900, jobs=1)
         assert session.run("hmmer", "unsafe") is session.run("hmmer", "unsafe")
         assert session.cached_runs() == 1
 
@@ -133,9 +135,9 @@ class TestNormalizedIpcErrors:
     def test_zero_ipc_baseline_raises_typed_error(self):
         """Regression: a zero-IPC baseline used to raise a bare
         ZeroDivisionError that aborted a whole figure sweep."""
-        session = ExperimentSession(warmup=400, measure=900)
+        session = ParallelSession(warmup=400, measure=900, jobs=1)
         key = session._key("hmmer", BASELINE_SCHEME)
-        session._cache[key] = RunResult(
+        session._memo[key] = RunResult(
             benchmark="hmmer", scheme=BASELINE_SCHEME, stats=SimStats()
         )
         with pytest.raises(EmptyMeasurementError) as excinfo:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.common.config import GuardrailConfig, small_config
 from repro.harness.parallel import ParallelSession
-from repro.harness.runner import ExperimentSession, run_benchmark
+from repro.harness.runner import run_benchmark
 from repro.pipeline.core import Core
 from repro.pipeline.decode import (
     cache_info,
@@ -120,7 +120,7 @@ class TestSharingAcrossRuns:
 
     def test_session_sweep_one_miss_per_benchmark(self):
         config = small_config()
-        session = ExperimentSession(config=config, warmup=100, measure=300)
+        session = ParallelSession(config=config, warmup=100, measure=300, jobs=1)
         session.sweep(("hmmer", "mcf"), ("unsafe", "stt", "dom"))
         assert cache_info()["misses"] == 2
 
@@ -128,7 +128,7 @@ class TestSharingAcrossRuns:
 class TestProcessIsolation:
     def test_parallel_session_no_cross_job_leakage(self, tmp_path):
         benchmarks, schemes = ("hmmer", "mcf"), ("unsafe", "dom")
-        serial = ExperimentSession(warmup=100, measure=300).sweep(
+        serial = ParallelSession(warmup=100, measure=300, jobs=1).sweep(
             benchmarks, schemes
         )
         clear_cache()
