@@ -77,15 +77,6 @@ def imported_modules(tree: ast.AST, module: str) -> List[Tuple[str, ast.AST]]:
     return out
 
 
-def function_defs(tree: ast.Module) -> List[ast.FunctionDef]:
-    """Module-level function definitions (sync and async)."""
-    return [
-        node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
 def module_level_names(tree: ast.Module) -> Set[str]:
     """Names bound at module scope (defs, classes, imports, assignments)."""
     names: Set[str] = set()

@@ -31,7 +31,6 @@ r29/r30 loop trip counter / trip limit
 from __future__ import annotations
 
 import random
-from typing import List
 
 from repro.fuzz.profiles import DATA_BASE, OUT_BASE, FuzzProfile
 from repro.isa.builder import CodeBuilder
@@ -201,7 +200,3 @@ def _emit_load_after_store(
     b.store(_pick(rng), address)
     b.load(_pick(rng), address)
 
-
-def profile_seeds(start: int, count: int) -> List[int]:
-    """The seed window ``[start, start + count)`` as a list."""
-    return list(range(start, start + count))

@@ -59,14 +59,6 @@ class Watchdog:
             MIN_WINDOW_LATENCIES * core.hierarchy.max_latency,
         )
 
-    def expired(self, core: "Core") -> bool:
-        """Cheap per-iteration test: has the no-commit window lapsed?
-
-        Counts steps, not cycles — idle-skip jumps over long misses must
-        never look like commit starvation.
-        """
-        return core._step_count - core._last_commit_step > self.window
-
     def trip(self, core: "Core") -> None:
         """Classify the wedge, dump, and raise :class:`DeadlockError`."""
         idle_steps = core._step_count - core._last_commit_step

@@ -179,10 +179,6 @@ class Instruction:
         return self.kind == KIND_ALU
 
     @property
-    def is_halt(self) -> bool:
-        return self.kind == KIND_HALT
-
-    @property
     def writes_register(self) -> bool:
         return self.writes
 

@@ -46,7 +46,6 @@ from repro.isa.instructions import (
     KIND_HALT,
     KIND_JMP,
     KIND_LOAD,
-    KIND_NOP,
     KIND_STORE,
 )
 from repro.isa.program import Program
@@ -54,7 +53,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.decode import decode_program
 from repro.pipeline.hooks import build_guardrails
 from repro.pipeline.shadows import ShadowTracker
-from repro.pipeline.uop import NO_FORWARD, UNTAINTED, MicroOp, UopState
+from repro.pipeline.uop import NO_FORWARD, UNTAINTED, MicroOp
 from repro.predictors.branch import GShareBranchPredictor
 from repro.predictors.stride import make_stride_table
 from repro.schemes.base import READY, SecureScheme
@@ -874,11 +873,6 @@ class Core:
             return False
         return self.scheme.value_block_seq(producer) != READY
 
-    def _operand_value(self, producer: Optional[MicroOp], snapshot: int) -> int:
-        if producer is None:
-            return snapshot
-        return producer.result or 0
-
     def _operand_taint(self, uop: MicroOp) -> int:
         taint = self._address_taint(uop)
         producer = uop.src2_uop
@@ -1167,26 +1161,6 @@ class Core:
         load.result = load.vp_real_value
         self._squash_from(load.seq, load.pc + 1, load.bp_history)
 
-    def _try_forward(
-        self, load: MicroOp
-    ) -> Tuple[bool, bool, Optional[MicroOp]]:
-        """Store-to-load forwarding lookup.
-
-        Returns ``(forwarded, blocked, store)``: *forwarded* when a
-        matching older store with ready data exists, *blocked* when the
-        match exists but its data is not ready yet.
-        """
-        store = self._youngest_matching_store(load)
-        if store is None:
-            return False, False, None
-        if store.store_data_ready:
-            return True, False, store
-        return False, True, store
-
-    def _bind_memory_value(self, load: MicroOp) -> None:
-        load.result = self.arch.read_mem(load.address)
-        load.forward_source_seq = NO_FORWARD
-
     def _finish_load(self, load: MicroOp, completion: int, level: int) -> None:
         load.access_level = level
         if self.scheme.uses_taint:
@@ -1203,10 +1177,6 @@ class Core:
                 self.stats.prefetches_issued += 1
                 if not result.l1_hit:
                     self.stats.prefetch_fills += 1
-
-    def _maybe_complete_store(self, store: MicroOp) -> None:
-        if store.address_ready and store.store_data_ready:
-            self._complete(store)
 
     # ==================================================================
     # Phase 6: dispatch / fetch
@@ -1260,7 +1230,7 @@ class Core:
             if tracer is not None:
                 tracer.on_dispatch(uop, now)
             uop.bp_history = bpred.history
-            # --- rename sources (reference copy: _rename_sources) ---
+            # --- rename sources (ren1/ren2: decoded rs1/rs2, None for r0) ---
             ren1 = dec[4]
             if ren1 is not None:
                 producer = rename.get(ren1)
@@ -1420,28 +1390,6 @@ class Core:
             if producer.waiters is None:
                 producer.waiters = []
             producer.waiters.append((store, _K_STORE_DATA))
-
-    def _rename_sources(self, uop: MicroOp) -> None:
-        inst = uop.inst
-        rename = self.rename
-        if inst.rs1 is not None and inst.rs1 != 0:
-            producer = rename.get(inst.rs1)
-            if producer is not None:
-                uop.src1_uop = producer
-            else:
-                uop.src1_value = self.arch.read_reg(inst.rs1)
-        if inst.rs2 is not None and inst.rs2 != 0:
-            producer = rename.get(inst.rs2)
-            if producer is not None:
-                uop.src2_uop = producer
-            else:
-                uop.src2_value = self.arch.read_reg(inst.rs2)
-
-    def _rename_destination(self, uop: MicroOp) -> None:
-        inst = uop.inst
-        uop.prev_producer = self.rename.get(inst.rd)
-        uop.had_prev_producer = uop.prev_producer is not None
-        self.rename[inst.rd] = uop
 
     # ==================================================================
     # Squash
