@@ -1,19 +1,18 @@
 """The fuzzing campaign runner: jobs, worker, and parallel session.
 
 One :class:`FuzzJob` is one (seed, profile) pair run through the full
-differential matrix.  Jobs fan out over the shared
-:class:`~repro.harness.jobs.JobEngine`, so fuzzing inherits the sweep
-runner's fault tolerance for free: per-job timeouts with stuck-worker
-kill, bounded retries of transients, crash isolation, and incremental
-resolution (an interrupted campaign keeps every finished verdict).
+differential matrix.  :class:`FuzzSession` is a
+:class:`~repro.harness.jobs.Campaign`, like the sweep session, so
+fuzzing inherits its fault tolerance for free: per-job timeouts with
+stuck-worker kill, bounded retries of transients, crash isolation,
+incremental resolution (an interrupted campaign keeps every finished
+verdict), and the same verdict store, progress ledger and resume.
 
 Divergences are *successful* job executions (the worker found what it
 was sent to find) — they come back as data, get minimized in the worker,
 and the parent writes one self-contained repro file per finding plus a
 ``failure_manifest.json`` whose entries carry the full job spec and a
-single replay command.  :class:`FuzzSession` is a
-:class:`~repro.harness.jobs.Campaign`, so the verdict store, progress
-ledger, resume and manifest are the ones sweeps use.
+single replay command.
 """
 
 from __future__ import annotations
