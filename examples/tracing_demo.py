@@ -18,7 +18,7 @@ from repro.workloads import build_workload
 def trace(scheme: str, instructions: int = 240) -> PipelineTracer:
     core = Core(build_workload("libquantum"), make_scheme(scheme))
     tracer = PipelineTracer()
-    core.tracer = tracer
+    core.observer = tracer
     core.run(max_instructions=instructions)
     return tracer
 

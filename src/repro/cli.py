@@ -573,7 +573,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     core = Core(build_workload(args.benchmark), make_scheme(args.scheme))
     tracer = PipelineTracer()
-    core.tracer = tracer
+    core.observer = tracer
     core.run(max_instructions=args.instructions)
     print(tracer.render_summary())
     print()

@@ -4,14 +4,13 @@ Two complementary views of where simulation time goes, both measured over
 the same (benchmark × scheme) grid the perf baseline uses:
 
 * **Stage accounting** (default) — wall-clock per pipeline phase
-  (`_writeback`, `_commit`, `_issue`, `_dispatch`, ...), measured by
-  wrapping the phase methods on the :class:`Core` *class* before any core
-  is constructed.  The scheduling loop binds phase methods late (at loop
-  entry) precisely so these wrappers are picked up; installing them on
-  the class rather than per instance keeps the timed region identical to
-  what ``repro bench`` measures.  This answers "which phase should the
-  next optimization pass target?" with real wall seconds rather than
-  cProfile's inflated call overhead.
+  (`_writeback`, `_commit`, `_issue`, `_dispatch`, ...), measured by a
+  :class:`StageAccounting` observer attached to each profiled core
+  (``core.observer = accounting``).  The scheduling loop passes each of
+  its phases through the observer once, at loop entry, so the timers
+  wrap exactly the calls the loop makes and nothing else.  This answers
+  "which phase should the next optimization pass target?" with real
+  wall seconds rather than cProfile's inflated call overhead.
 * **cProfile mode** (``--cprofile``) — the standard deterministic
   profiler over the same runs, for drilling from a hot phase down to the
   exact callee.  Per-call overhead is inflated (every function entry is
@@ -30,7 +29,7 @@ import io
 import json
 import pstats
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.common.io import atomic_write_text
 from repro.harness.perfbench import (
@@ -42,11 +41,11 @@ from repro.harness.perfbench import (
     make_scheme,
 )
 from repro.pipeline.core import Core
+from repro.pipeline.hooks import CoreObserver
 
-#: The pipeline phases the scheduling loop visits, in loop order.  These
-#: are the exact names ``Core._loop`` binds at entry; wrapping them on the
-#: class is sufficient to capture every phase invocation in both
-#: idle_skip modes.
+#: The pipeline phases the scheduling loop visits, in loop order: the
+#: names of the methods ``Core._loop`` passes through its observer's
+#: ``wrap_phase`` at entry, in both idle_skip modes.
 STAGE_METHODS = (
     "_writeback",
     "_process_frontier",
@@ -61,49 +60,33 @@ STAGE_METHODS = (
 PROFILE_FORMAT_VERSION = 1
 
 
-class StageAccounting:
-    """Context manager that patches :class:`Core`'s phase methods with
-    timing wrappers and accumulates per-stage wall seconds and calls.
+class StageAccounting(CoreObserver):
+    """Core observer that accumulates per-stage wall seconds and calls.
 
-    Must be entered *before* the profiled cores are constructed: the
-    wrappers live on the class, and the scheduling loop resolves phase
-    methods through the instance (falling back to the class) at
-    ``run()`` time.
+    Attach one to each profiled core (``core.observer = accounting``);
+    one instance may observe many cores and sums over all of them.
     """
 
     def __init__(self) -> None:
         self.seconds: Dict[str, float] = {name: 0.0 for name in STAGE_METHODS}
         self.calls: Dict[str, int] = {name: 0 for name in STAGE_METHODS}
-        self._originals: Dict[str, Callable] = {}
 
-    def _wrap(self, name: str, original: Callable) -> Callable:
+    def wrap_phase(self, phase: Callable) -> Callable:
+        """Time ``phase``, keyed by its ``__name__``."""
+        name = phase.__name__
         seconds = self.seconds
         calls = self.calls
         perf_counter = time.perf_counter
 
-        def timed(core, *args, **kwargs):
+        def timed(*args):
             start = perf_counter()
             try:
-                return original(core, *args, **kwargs)
+                return phase(*args)
             finally:
                 seconds[name] += perf_counter() - start
                 calls[name] += 1
 
-        timed.__name__ = f"profiled_{name}"
-        timed.__wrapped__ = original
         return timed
-
-    def __enter__(self) -> "StageAccounting":
-        for name in STAGE_METHODS:
-            original = getattr(Core, name)
-            self._originals[name] = original
-            setattr(Core, name, self._wrap(name, original))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for name, original in self._originals.items():
-            setattr(Core, name, original)
-        self._originals.clear()
 
     def total_seconds(self) -> float:
         return sum(self.seconds.values())
@@ -130,28 +113,28 @@ def profile_stages(profile_name: str = "full") -> Dict[str, object]:
     total_wall = 0.0
     total_instructions = 0
     total_steps = 0
-    with accounting:
-        for benchmark, scheme in _grid(profile):
-            program = build_workload(benchmark)
-            core = Core(
-                program, make_scheme(scheme), config=default_config(),
-                idle_skip=True,
-            )
-            start = time.perf_counter()
-            core.run(max_instructions=profile.instructions)
-            wall = time.perf_counter() - start
-            committed = core.stats.committed_instructions
-            total_wall += wall
-            total_instructions += committed
-            total_steps += core._step_count
-            pairs.append({
-                "benchmark": benchmark,
-                "scheme": scheme,
-                "wall": round(wall, 4),
-                "instructions": committed,
-                "steps": core._step_count,
-                "sim_ips": round(committed / wall, 1) if wall > 0 else 0.0,
-            })
+    for benchmark, scheme in _grid(profile):
+        program = build_workload(benchmark)
+        core = Core(
+            program, make_scheme(scheme), config=default_config(),
+            idle_skip=True,
+        )
+        core.observer = accounting
+        start = time.perf_counter()
+        core.run(max_instructions=profile.instructions)
+        wall = time.perf_counter() - start
+        committed = core.stats.committed_instructions
+        total_wall += wall
+        total_instructions += committed
+        total_steps += core._step_count
+        pairs.append({
+            "benchmark": benchmark,
+            "scheme": scheme,
+            "wall": round(wall, 4),
+            "instructions": committed,
+            "steps": core._step_count,
+            "sim_ips": round(committed / wall, 1) if wall > 0 else 0.0,
+        })
     staged = accounting.total_seconds()
     stages = [
         {

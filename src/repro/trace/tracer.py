@@ -1,7 +1,7 @@
 """Cycle-level pipeline tracing.
 
-Attach a :class:`PipelineTracer` to a core (``core.tracer = tracer``) and
-it records every micro-op's lifecycle — dispatch, issue, completion,
+Attach a :class:`PipelineTracer` to a core (``core.observer = tracer``)
+and it records every micro-op's lifecycle — dispatch, issue, completion,
 commit or squash — into a bounded ring buffer, then renders Konata-style
 per-instruction timelines or a flat event log.  Used for debugging the
 simulator, for teaching (watching NDA hold a value back, or a
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from repro.common.errors import ConfigError
+from repro.pipeline.hooks import CoreObserver
 from repro.pipeline.uop import MicroOp
 
 
@@ -50,7 +51,7 @@ class TraceRecord:
         return end - self.dispatch_cycle
 
 
-class PipelineTracer:
+class PipelineTracer(CoreObserver):
     """Bounded-capacity recorder of micro-op lifecycles."""
 
     def __init__(self, capacity: int = 10_000):

@@ -12,7 +12,7 @@ from tests.conftest import counting_loop
 def traced_run(program, scheme="unsafe", capacity=10_000):
     core = Core(program, make_scheme(scheme))
     tracer = PipelineTracer(capacity=capacity)
-    core.tracer = tracer
+    core.observer = tracer
     core.run()
     return core, tracer
 
