@@ -76,20 +76,6 @@ class SimStats:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def add(self, **deltas: int) -> None:
-        """Batch-increment counters: ``stats.add(l1_hits=3, cycles=10)``.
-
-        Hot loops accumulate counts in locals and flush once per phase via
-        this helper instead of touching attributes per event; a typo'd
-        counter name raises immediately rather than creating a silent
-        orphan attribute.
-        """
-        for name, delta in deltas.items():
-            current = getattr(self, name, None)
-            if current is None:
-                raise StatisticsError(f"unknown SimStats counter {name!r}")
-            setattr(self, name, current + delta)
-
     # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------

@@ -49,13 +49,6 @@ class SampledResult:
         mean = self.mean
         return self.stdev / mean if mean else 0.0
 
-    def format_line(self) -> str:
-        return (
-            f"{self.benchmark}/{self.scheme}: "
-            f"IPC {self.mean:.3f} ± {self.stdev:.3f} "
-            f"({len(self.ipcs)} windows of {self.window_instructions})"
-        )
-
 
 def sample_benchmark(
     benchmark: str,
@@ -97,25 +90,3 @@ def sample_benchmark(
             benchmark=benchmark, scheme=scheme,
         )
     return result
-
-
-def normalized_with_error(
-    benchmark: str,
-    scheme: str,
-    windows: int = 4,
-    window_instructions: int = 6000,
-    warmup: int = 3000,
-    config: Optional[SystemConfig] = None,
-) -> tuple:
-    """(mean normalized IPC, combined relative stdev) vs the unsafe run."""
-    base = sample_benchmark(
-        benchmark, "unsafe", windows, window_instructions, warmup, config
-    )
-    measured = sample_benchmark(
-        benchmark, scheme, windows, window_instructions, warmup, config
-    )
-    ratio = measured.mean / base.mean
-    spread = math.sqrt(
-        measured.relative_stdev**2 + base.relative_stdev**2
-    )
-    return ratio, spread

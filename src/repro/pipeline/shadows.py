@@ -71,10 +71,6 @@ class _CasterQueue:
             removed.discard(queue.popleft())
         self.oldest_seq = queue[0] if queue else INFINITE_SEQ
 
-    def oldest(self) -> int:
-        """The oldest unresolved sequence number, or INFINITE_SEQ."""
-        return self.oldest_seq
-
     def live(self) -> list:
         """Every unresolved sequence number, oldest first (guardrails)."""
         return [seq for seq in self._queue if seq not in self._removed]

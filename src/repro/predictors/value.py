@@ -94,6 +94,3 @@ class ValuePredictor:
             return None
         self.predictions_made += 1
         return (entry.last_value + entry.stride) & _MASK64
-
-    def entry_for(self, pc: int) -> Optional[ValueEntry]:
-        return self._find(pc)

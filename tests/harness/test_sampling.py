@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.harness.sampling import (
-    SampledResult,
-    normalized_with_error,
-    sample_benchmark,
-)
+from repro.harness.sampling import SampledResult, sample_benchmark
 
 
 class TestSampledResult:
@@ -19,12 +15,6 @@ class TestSampledResult:
     def test_single_window_has_zero_stdev(self):
         result = SampledResult("b", "s", 100, ipcs=[1.5])
         assert result.stdev == 0.0
-
-    def test_format_line(self):
-        result = SampledResult("hmmer", "dom", 500, ipcs=[1.0, 1.2])
-        text = result.format_line()
-        assert "hmmer/dom" in text
-        assert "2 windows of 500" in text
 
 
 class TestSampling:
@@ -47,10 +37,3 @@ class TestSampling:
     def test_invalid_window_count(self):
         with pytest.raises(ValueError):
             sample_benchmark("hmmer", "unsafe", windows=0)
-
-    def test_normalized_with_error(self):
-        ratio, spread = normalized_with_error(
-            "hmmer", "dom", windows=3, window_instructions=1500, warmup=1000
-        )
-        assert 0.2 < ratio <= 1.1
-        assert spread >= 0.0
