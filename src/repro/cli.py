@@ -34,6 +34,7 @@ pools.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -774,6 +775,24 @@ def _cmd_specflow(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        # Flush inside the try, so a reader that closed the pipe early
+        # (``repro trace ... | head``) surfaces here and not as a
+        # traceback from the flush at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The recipe of the Python documentation (signal module, "Note on
+        # SIGPIPE"): point stdout at the null device so that exit-time
+        # flush cannot fail again, and exit 1 as an EPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         if args.command == "list":
             return _cmd_list()

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -54,6 +60,34 @@ class TestTrace:
     def test_trace_unknown_scheme(self):
         with pytest.raises(SystemExit):
             main(["trace"])  # missing benchmark argument
+
+    def test_reader_closing_the_pipe_early_exits_quietly(self):
+        """``repro trace ... | head``: the timeline (about 200 KB) outgrows
+        the pipe buffer, so the writes after the reader closes fail with
+        EPIPE; the CLI exits 1 with no traceback on stderr."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src, env.get("PYTHONPATH")) if path
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "hmmer",
+             "--scheme", "dom+ap", "--instructions", "3000", "--window", "2000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            first = process.stdout.readline()
+            process.stdout.close()
+            _, stderr = process.communicate(timeout=120)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert first.startswith(b"traced:")
+        assert stderr == b""
+        assert process.returncode == 1
 
 
 class TestSweep:
