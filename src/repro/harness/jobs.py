@@ -35,6 +35,7 @@ timeout/crash payloads so every failure is attributable and replayable.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 import os
@@ -319,7 +320,14 @@ class JobEngine:
 
         workers = min(self.jobs, len(items))
         context = multiprocessing.get_context(self.mp_context)
-        executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        # Each worker moves the heap it inherits at fork into the
+        # collector's permanent generation, so the collection after every
+        # job walks only what the worker allocated since (and writes no
+        # GC headers into pages it shares with the parent).  The parent
+        # and the inline path never freeze: they must free their garbage.
+        executor = ProcessPoolExecutor(
+            max_workers=workers, mp_context=context, initializer=gc.freeze
+        )
         try:
             # The worker (and any chaos stage) must be module-level for
             # the pool to pickle it by qualified name.

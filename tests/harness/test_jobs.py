@@ -1,11 +1,16 @@
-"""JobEngine retry-backoff contracts.
+"""JobEngine retry-backoff contracts, and what its workers inherit.
 
 The schedule is seeded jittered-exponential: deterministic for a given
 ``(retries, base, cap, seed)`` so a failing run replays with the same
 pacing, jittered so a crashed wave's survivors do not re-stampede the
 machine in lockstep, and capped so a long retry ladder cannot stall a
 campaign for minutes per wave.
+
+A pool worker freezes the heap it starts with, so its per-job garbage
+collections walk only what it allocated; the parent never freezes.
 """
+
+import gc
 
 import pytest
 
@@ -72,3 +77,23 @@ class TestEngineUsesSchedule:
 
 def _noop_worker(job):
     return {"ok": True, "value": job}
+
+
+def _freeze_count_worker(job):
+    return {"ok": True, "frozen": gc.get_freeze_count()}
+
+
+class TestWorkerHeapFreeze:
+    def test_pool_workers_freeze_what_they_inherit(self):
+        payloads = {}
+        engine = JobEngine(_freeze_count_worker, jobs=2)
+        engine.run([(index, index) for index in range(4)], payloads.__setitem__)
+        assert sorted(payloads) == [0, 1, 2, 3]
+        assert all(payload["frozen"] > 0 for payload in payloads.values())
+
+    def test_inline_engine_leaves_the_parent_unfrozen(self):
+        payloads = {}
+        engine = JobEngine(_freeze_count_worker, jobs=1)
+        engine.run([(index, index) for index in range(2)], payloads.__setitem__)
+        assert [payload["frozen"] for payload in payloads.values()] == [0, 0]
+        assert gc.get_freeze_count() == 0

@@ -132,8 +132,13 @@ POLICIES = {
     "random": lambda: RandomPolicy(seed=11),
 }
 
+#: The eight highest lines a 64-bit address can reach with 64-byte lines.
+#: They cover every set index of every geometry twice, so they evict one
+#: another, and they overflow a 32-bit slot if the storage had one.
+TOP_LINES = [(1 << 58) - 1 - offset for offset in range(8)]
+
 #: Fills dominate so that sets fill up and evict; a flush is rare enough
-#: not to empty the cache every few steps.  Twelve lines over at most
+#: not to empty the cache every few steps.  Twelve low lines over at most
 #: eight slots make re-filling a resident line common too.
 OPERATIONS = st.lists(
     st.tuples(
@@ -141,7 +146,9 @@ OPERATIONS = st.lists(
             ["fill"] * 4 + ["fill_dirty"] * 2 + ["read"] * 2
             + ["write", "touch", "lookup", "invalidate", "flush"]
         ),
-        st.integers(min_value=0, max_value=11),
+        st.one_of(
+            st.integers(min_value=0, max_value=11), st.sampled_from(TOP_LINES)
+        ),
     ),
     min_size=1,
     max_size=150,
