@@ -54,6 +54,13 @@ class CacheConfig:
         _require(self.ways > 0, f"{self.name}: ways must be positive")
         _require(self.latency >= 1, f"{self.name}: latency must be >= 1")
         _require(self.mshrs >= 1, f"{self.name}: mshrs must be >= 1")
+        # A cache level finds a line by shifting the address, and stores
+        # lines in signed 64-bit slots: a 64-bit address shifted by at
+        # least one bit always fits.
+        _require(
+            self.line_size >= 2 and self.line_size & (self.line_size - 1) == 0,
+            f"{self.name}: line size must be a power of two >= 2",
+        )
         _require(
             self.size_bytes % (self.ways * self.line_size) == 0,
             f"{self.name}: size must be a multiple of ways * line size",

@@ -52,6 +52,13 @@ class TestCacheConfig:
         with pytest.raises(ConfigError):
             CacheConfig("X", **kwargs)
 
+    @pytest.mark.parametrize("line_size", [0, 1, 48])
+    def test_rejects_line_sizes_the_cache_cannot_shift_by(self, line_size):
+        """48 would silently model 32-byte lines; 1 would leave 64-bit
+        lines that overflow a level's signed 64-bit slots."""
+        with pytest.raises(ConfigError, match="power of two"):
+            CacheConfig("X", 1024 * 48, 4, latency=1, line_size=line_size)
+
 
 class TestMemoryConfig:
     def test_default_matches_table1(self):
