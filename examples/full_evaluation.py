@@ -1,85 +1,18 @@
 #!/usr/bin/env python3
 """Regenerate every figure of the paper's evaluation in one run.
 
-This is the script behind EXPERIMENTS.md: it sweeps all benchmarks and
-schemes once (memoized), regenerates Figures 1, 6, 7, and 8 plus the
-Unsafe+AP ablation, and prints each alongside the paper's reference
-numbers.  Expect a few minutes with the default windows.
+This is the script behind EXPERIMENTS.md and the same report as
+``python -m repro figures``: it sweeps all benchmarks and schemes once
+(memoized), regenerates Figures 1, 6, 7, and 8 plus the Unsafe+AP
+ablation, and prints each alongside the paper's reference numbers.
+Expect a few minutes with the default windows.
 
-Run:  python examples/full_evaluation.py [--fast]
+Run:  python examples/full_evaluation.py [--fast] [--jobs N] [--cache-dir DIR]
 """
 
-import argparse
 import sys
-import time
 
-from repro.harness import (
-    FIGURE_SCHEMES,
-    ParallelSession,
-    figure1_summary,
-    figure6_normalized_ipc,
-    figure7_coverage_accuracy,
-    figure8_cache_traffic,
-    unsafe_ap_delta,
-)
-from repro.workloads.profiles import benchmark_names
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="use short measurement windows (quick smoke run)",
-    )
-    parser.add_argument("--warmup", type=int, default=None)
-    parser.add_argument("--measure", type=int, default=None)
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the shared sweep (default: one per CPU)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="persistent result cache; a second run re-simulates nothing",
-    )
-    args = parser.parse_args(argv)
-    warmup = args.warmup if args.warmup is not None else (1000 if args.fast else 4000)
-    measure = args.measure if args.measure is not None else (4000 if args.fast else 16000)
-
-    session = ParallelSession(
-        warmup=warmup, measure=measure, jobs=args.jobs, cache_dir=args.cache_dir
-    )
-    started = time.time()
-
-    # One parallel sweep feeds every figure below (all reads are memo hits).
-    session.sweep(
-        benchmark_names("all"),
-        ("unsafe", "unsafe+ap") + FIGURE_SCHEMES,
-        skip_errors=True,
-    )
-
-    print(f"== Figure 6: normalized IPC (warmup={warmup}, measure={measure}) ==")
-    print(figure6_normalized_ipc(session).format_table())
-
-    print("\n== Figure 1 / §7 headline: measured vs paper ==")
-    print(figure1_summary(session).format_table())
-
-    print("\n== Figure 7: predictor coverage and accuracy (DoM+AP) ==")
-    print(figure7_coverage_accuracy(session).format_table())
-
-    print("\n== Figure 8: normalized L1/L2 accesses ==")
-    print(figure8_cache_traffic(session).format_table())
-
-    print("\n== §7 Unsafe Baseline + AP ==")
-    print(unsafe_ap_delta(session).format_table())
-
-    counters = session.counters()
-    print(
-        f"\ncompleted {session.cached_runs()} runs in {time.time() - started:.0f}s "
-        f"({counters['simulated']} simulated, {counters['disk_hits']} from disk, "
-        f"{counters['skipped']} skipped)"
-    )
-    return 0
-
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["figures", *sys.argv[1:]]))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.attacks.corpus import CORPUS_SCHEME_LABELS
 from repro.common.errors import ExecutionError, SpecflowBudgetError
 from repro.isa.instructions import KIND_CBRANCH, KIND_LOAD, KIND_STORE
 from repro.isa.program import InterpreterResult, Program
@@ -65,7 +66,6 @@ from repro.analysis.specflow.model import (
     VERDICT_UNKNOWN,
 )
 from repro.analysis.specflow.policies import (
-    STANDARD_SCHEME_LABELS,
     TRANSMIT_BRANCH,
     TRANSMIT_LOAD,
     TRANSMIT_STORE,
@@ -135,7 +135,7 @@ def _transmit_kind(kind_code: int) -> str:
 
 def _scheme_labels(schemes: Optional[Iterable]) -> List:
     if schemes is None:
-        return list(STANDARD_SCHEME_LABELS)
+        return list(CORPUS_SCHEME_LABELS)
     return list(schemes)
 
 
@@ -265,7 +265,7 @@ def analyze_program(
     """Statically judge ``program`` under each scheme (see module doc).
 
     ``schemes`` takes labels (``"dom+ap"``) and/or scheme instances;
-    defaults to :data:`STANDARD_SCHEME_LABELS`.
+    defaults to :data:`~repro.attacks.corpus.CORPUS_SCHEME_LABELS`.
     """
     if not program.secret_regions:
         return _all_verdict(

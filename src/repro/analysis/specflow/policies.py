@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.common.errors import ConfigError
+from repro.schemes import parse_label
 from repro.analysis.specflow.model import KIND_SPEC, TaintFact, Transmitter
 
 TRANSMIT_LOAD = "load"
@@ -69,24 +70,6 @@ POLICY_KEYS = (
     "dom-insecure-reissue",
 )
 
-#: The scheme labels the CLI / differential analyze by default: every
-#: registry scheme with and without doppelgangers, plus the two
-#: deliberately weakened variants (always run with doppelgangers — the
-#: rule each one removes only matters under address prediction).
-STANDARD_SCHEME_LABELS = (
-    "unsafe",
-    "nda",
-    "stt",
-    "dom",
-    "dom+vp",
-    "unsafe+ap",
-    "nda+ap",
-    "stt+ap",
-    "dom+ap",
-    "dom-insecure-branches+ap",
-    "dom-insecure-reissue+ap",
-)
-
 
 def _build(key: str, ap: bool) -> PolicyModel:
     name = key + ("+ap" if ap else "")
@@ -102,9 +85,9 @@ def _build(key: str, ap: bool) -> PolicyModel:
             ap_observable=ap,
         )
     if key == "dom+vp":
-        # DoMValuePrediction force-disables address prediction (the point
-        # is a clean VP-vs-AP comparison), so no doppelganger channel and
-        # no need for the in-order branch rule.
+        # DoMValuePrediction takes no address prediction (the point is a
+        # clean VP-vs-AP comparison), so no doppelganger channel and no
+        # need for the in-order branch rule.
         return PolicyModel("dom+vp", invisible_speculation=True)
     if key == "dom-insecure-branches":
         return PolicyModel(
@@ -135,12 +118,7 @@ def policy_for(scheme) -> PolicyModel:
     ``"dom+ap"`` / ``"dom-insecure-branches+ap"``.
     """
     if isinstance(scheme, str):
-        key = scheme.lower().strip()
-        ap = False
-        if key.endswith("+ap"):
-            key = key[: -len("+ap")]
-            ap = True
-        return _build(key, ap)
+        return _build(*parse_label(scheme))
     opt_out = getattr(scheme, "specflow_opt_out", None)
     if opt_out:
         raise ConfigError(
@@ -203,7 +181,6 @@ def block_note(policy: PolicyModel, transmitter: Transmitter) -> str:
 __all__ = [
     "POLICY_KEYS",
     "PolicyModel",
-    "STANDARD_SCHEME_LABELS",
     "TRANSMIT_BRANCH",
     "TRANSMIT_LOAD",
     "TRANSMIT_STORE",

@@ -28,7 +28,7 @@ expected-static row is plain strings, compared by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Tuple, Type
 
 from repro.attacks.gadgets import (
     Gadget,
@@ -41,7 +41,7 @@ from repro.attacks.variants import (
     InsecureDoMAPWithoutInOrderBranches,
 )
 from repro.common.errors import ConfigError
-from repro.schemes import make_scheme
+from repro.schemes import SCHEME_LABELS, make_scheme
 from repro.schemes.base import SecureScheme
 
 DYNAMIC_LEAK = "leak"
@@ -49,32 +49,24 @@ DYNAMIC_CLEAN = "clean"
 STATIC_LEAK = "leak-possible"
 STATIC_SAFE = "safe"
 
-#: Every scheme configuration the corpus pins: the five registry schemes,
-#: their doppelganger forms, and the two deliberately weakened variants
-#: (only meaningful with address prediction — the removed rule exists to
-#: close a doppelganger channel).
-CORPUS_SCHEME_LABELS: Tuple[str, ...] = (
-    "unsafe",
-    "nda",
-    "stt",
-    "dom",
-    "dom+vp",
-    "unsafe+ap",
-    "nda+ap",
-    "stt+ap",
-    "dom+ap",
-    "dom-insecure-branches+ap",
-    "dom-insecure-reissue+ap",
-)
+#: The deliberately weakened variants, only ever run with address
+#: prediction (the rule each one removes closes a doppelganger channel).
+_INSECURE_VARIANTS: Dict[str, Type[SecureScheme]] = {
+    "dom-insecure-branches+ap": InsecureDoMAPWithoutInOrderBranches,
+    "dom-insecure-reissue+ap": InsecureDoMAPEagerMispredictReissue,
+}
+
+#: Every scheme configuration the corpus pins: every registry label, then
+#: the weakened variants.
+CORPUS_SCHEME_LABELS: Tuple[str, ...] = SCHEME_LABELS + tuple(_INSECURE_VARIANTS)
 
 
 def scheme_factory(label: str) -> SecureScheme:
     """A fresh scheme instance for ``label`` (fresh per run — scheme
     objects carry a core binding, so sharing across runs is a bug)."""
-    if label == "dom-insecure-branches+ap":
-        return InsecureDoMAPWithoutInOrderBranches(address_prediction=True)
-    if label == "dom-insecure-reissue+ap":
-        return InsecureDoMAPEagerMispredictReissue(address_prediction=True)
+    variant = _INSECURE_VARIANTS.get(label)
+    if variant is not None:
+        return variant(address_prediction=True)
     return make_scheme(label)
 
 

@@ -39,9 +39,6 @@ __all__ = [
     "snapshots_equal",
 ]
 
-# Backward-compatible alias for the pre-oracle private helper.
-_build_core = build_gadget_core
-
 
 @dataclass
 class AttackOutcome:

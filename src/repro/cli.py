@@ -39,11 +39,7 @@ import sys
 from typing import List, Optional
 
 from repro.common.errors import ReproError
-from repro.schemes import SCHEME_NAMES, make_scheme
-
-#: Default grid for ``sweep`` (the Figure 6/8 schemes, duplicated here so
-#: parsing ``--help`` doesn't import the simulator).
-FIGURE_SCHEMES_DEFAULT = ("nda", "nda+ap", "stt", "stt+ap", "dom", "dom+ap")
+from repro.schemes import SCHEME_CLASSES, SCHEME_LABELS, make_scheme
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated names, or a suite (all/spec2006/spec2017)",
     )
     sweep.add_argument(
-        "--schemes", default="unsafe," + ",".join(FIGURE_SCHEMES_DEFAULT),
-        help="comma-separated scheme names",
+        "--schemes", default=None,
+        help="comma-separated scheme names (default: unsafe and the "
+             "Figure 6 schemes)",
     )
     sweep.add_argument(
         "--jobs", type=int, default=None,
@@ -115,7 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_guardrail_args(sweep)
 
     figures = sub.add_parser("figures", help="regenerate the paper's figures")
-    figures.add_argument("--fast", action="store_true")
+    figures.add_argument(
+        "--fast", action="store_true",
+        help="use short measurement windows (quick smoke run)",
+    )
     figures.add_argument("--warmup", type=int, default=None)
     figures.add_argument("--measure", type=int, default=None)
     figures.add_argument(
@@ -383,8 +383,9 @@ def _cmd_list() -> int:
     from repro.workloads.profiles import ALL_PROFILES
 
     print("schemes:")
-    for name in SCHEME_NAMES:
-        print(f"  {name}" + ("       (+ap variant available)" if name != "dom+vp" else ""))
+    for name, cls in SCHEME_CLASSES.items():
+        print(f"  {name}" + ("       (+ap variant available)"
+                             if cls.supports_address_prediction else ""))
     print("\nbenchmarks (suite, kernel):")
     for profile in ALL_PROFILES:
         print(f"  {profile.name:<14} {profile.suite:<9} {profile.kernel}")
@@ -412,6 +413,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.parallel import ParallelSession
+    from repro.harness.runner import BASELINE_SCHEME, FIGURE_SCHEMES
     from repro.workloads.profiles import PROFILES_BY_NAME, benchmark_names
 
     if args.benchmarks in ("all", "spec2006", "spec2017"):
@@ -422,7 +424,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if name not in PROFILES_BY_NAME:
                 print(f"error: unknown benchmark {name!r}", file=sys.stderr)
                 return 1
-    schemes = tuple(name.strip() for name in args.schemes.split(","))
+    if args.schemes is None:
+        schemes = (BASELINE_SCHEME,) + FIGURE_SCHEMES
+    else:
+        schemes = tuple(name.strip() for name in args.schemes.split(","))
 
     if args.resume and args.cache_dir is None:
         print("error: --resume requires --cache-dir (the ledger lives "
@@ -480,6 +485,48 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with open(args.csv, "w") as handle:
             handle.write(sweep_to_csv(results))
         print(f"raw counters written to {args.csv}")
+    return 0
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    import time
+
+    from repro import harness
+    from repro.workloads.profiles import benchmark_names
+
+    warmup = args.warmup if args.warmup is not None else (1000 if args.fast else 4000)
+    measure = args.measure if args.measure is not None else (4000 if args.fast else 16000)
+    session = harness.ParallelSession(
+        warmup=warmup, measure=measure, jobs=args.jobs, cache_dir=args.cache_dir
+    )
+    started = time.time()
+
+    # One parallel sweep feeds every figure below (all reads are memo hits).
+    session.sweep(
+        benchmark_names("all"),
+        ("unsafe", "unsafe+ap") + harness.FIGURE_SCHEMES,
+        skip_errors=True,
+    )
+
+    for title, figure in (
+        (f"Figure 6: normalized IPC (warmup={warmup}, measure={measure})",
+         harness.figure6_normalized_ipc),
+        ("Figure 1 / §7 headline: measured vs paper", harness.figure1_summary),
+        ("Figure 7: predictor coverage and accuracy (DoM+AP)",
+         harness.figure7_coverage_accuracy),
+        ("Figure 8: normalized L1/L2 accesses", harness.figure8_cache_traffic),
+        ("§7 Unsafe Baseline + AP", harness.unsafe_ap_delta),
+    ):
+        print(f"== {title} ==")
+        print(figure(session).format_table())
+        print()
+
+    counters = session.counters()
+    print(
+        f"completed {session.cached_runs()} runs in {time.time() - started:.0f}s "
+        f"({counters['simulated']} simulated, {counters['disk_hits']} from disk, "
+        f"{counters['skipped']} skipped)"
+    )
     return 0
 
 
@@ -557,13 +604,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
     gadget = spectre_v1(secret_value=args.secret)
     print(f"Spectre v1, secret = {args.secret}")
-    leaked_anywhere = False
-    for scheme in ("unsafe", "unsafe+ap", "nda", "nda+ap", "stt", "stt+ap",
-                   "dom", "dom+ap"):
-        outcome = run_attack(gadget, scheme)
-        verdict = "LEAKED" if outcome.leaked else "safe"
-        leaked_anywhere |= outcome.leaked
-        print(f"  {scheme:<10} {verdict:<8} inferred={outcome.inferred}")
+    # Each scheme beside its Doppelganger Loads form, as in the paper.
+    for name, cls in SCHEME_CLASSES.items():
+        if not cls.supports_address_prediction:
+            continue
+        for scheme in (name, name + "+ap"):
+            outcome = run_attack(gadget, scheme)
+            verdict = "LEAKED" if outcome.leaked else "safe"
+            print(f"  {scheme:<10} {verdict:<8} inferred={outcome.inferred}")
     return 0
 
 
@@ -584,10 +632,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    from repro.guardrails import DOCTOR_SCHEMES, run_doctor
+    from repro.guardrails import run_doctor
 
     if args.schemes is None:
-        schemes = DOCTOR_SCHEMES
+        schemes = SCHEME_LABELS
     else:
         schemes = tuple(name.strip() for name in args.schemes.split(","))
     report = run_doctor(
@@ -801,34 +849,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "figures":
-            # Reuse the full-evaluation example so there is exactly one
-            # implementation of the report.
-            import importlib.util
-            from pathlib import Path
-
-            script = Path(__file__).resolve().parents[2] / "examples" / "full_evaluation.py"
-            if not script.exists():
-                print(
-                    "error: examples/full_evaluation.py not found (run from "
-                    "a source checkout)",
-                    file=sys.stderr,
-                )
-                return 1
-            spec = importlib.util.spec_from_file_location("full_evaluation", script)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)  # type: ignore[union-attr]
-            forwarded: List[str] = []
-            if args.fast:
-                forwarded.append("--fast")
-            if args.warmup is not None:
-                forwarded.extend(["--warmup", str(args.warmup)])
-            if args.measure is not None:
-                forwarded.extend(["--measure", str(args.measure)])
-            if args.jobs is not None:
-                forwarded.extend(["--jobs", str(args.jobs)])
-            if args.cache_dir is not None:
-                forwarded.extend(["--cache-dir", str(args.cache_dir)])
-            return module.main(forwarded)
+            return _cmd_figures(args)
         if args.command == "bench":
             return _cmd_bench(args)
         if args.command == "profile":

@@ -15,7 +15,7 @@ This package makes those failures loud, local, and diagnosable:
   :func:`write_crash_dump` — the shared diagnostics plumbing.
 """
 
-from repro.guardrails.doctor import DOCTOR_SCHEMES, DoctorReport, run_doctor, smoke_program
+from repro.guardrails.doctor import DoctorReport, run_doctor, smoke_program
 from repro.guardrails.dump import (
     describe_uop,
     format_crash_dump,
@@ -42,7 +42,6 @@ def _default_guardrails(core):
 register_guardrail_provider(_default_guardrails)
 
 __all__ = [
-    "DOCTOR_SCHEMES",
     "DoctorReport",
     "INVARIANT_CLASSES",
     "InvariantChecker",

@@ -19,19 +19,7 @@ from repro.common.errors import DeadlockError, InvariantViolationError, ReproErr
 from repro.guardrails.invariants import INVARIANT_CLASSES, InvariantChecker
 from repro.isa.builder import CodeBuilder
 from repro.isa.program import Program
-
-#: Every scheme variant the evaluation uses, including +AP forms.
-DOCTOR_SCHEMES: Tuple[str, ...] = (
-    "unsafe",
-    "nda",
-    "stt",
-    "dom",
-    "dom+vp",
-    "unsafe+ap",
-    "nda+ap",
-    "stt+ap",
-    "dom+ap",
-)
+from repro.schemes import SCHEME_LABELS, make_scheme
 
 _DATA_BASE = 0x0001_0000
 _INDEX_BASE = 0x0002_0000
@@ -348,7 +336,7 @@ def _specflow_smoke() -> Tuple[str, int]:
 
 
 def run_doctor(
-    schemes: Tuple[str, ...] = DOCTOR_SCHEMES,
+    schemes: Tuple[str, ...] = SCHEME_LABELS,
     instructions: int = 4000,
     config: Optional[SystemConfig] = None,
     lint_preflight: bool = True,
@@ -368,7 +356,6 @@ def run_doctor(
     the dynamic noninterference oracle on a corpus cut.
     """
     from repro.pipeline.core import Core
-    from repro.schemes import make_scheme
 
     lint_status, lint_findings = ("skipped", 0)
     if lint_preflight:

@@ -75,11 +75,14 @@ def sample_benchmark(
     )
     committed = core.stats.committed_instructions
     for index in range(windows):
-        start_cycle = core.cycle
+        # stats.cycles, not core.cycle: it leaves out the trailing
+        # idle-skip jump nothing observes (see run_program), so a window
+        # measures the same cycles in both idle_skip modes.
+        start_cycle = core.stats.cycles
         target = committed + window_instructions
         core.run(max_instructions=target)
         delta_instructions = core.stats.committed_instructions - committed
-        delta_cycles = core.cycle - start_cycle
+        delta_cycles = core.stats.cycles - start_cycle
         committed = core.stats.committed_instructions
         if delta_cycles == 0 or delta_instructions == 0:
             break  # program ended inside the window

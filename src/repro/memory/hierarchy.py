@@ -22,7 +22,6 @@ from repro.common.config import MemoryConfig
 from repro.common.stats import SimStats
 from repro.memory.cache import CacheLevel
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import ReplacementPolicy
 
 DRAM_LEVEL = 4
 """Pseudo-level number reported for accesses served by main memory."""
@@ -50,11 +49,10 @@ class MemoryHierarchy:
         self,
         config: MemoryConfig,
         stats: Optional[SimStats] = None,
-        l1_policy: Optional[ReplacementPolicy] = None,
     ):
         self.config = config
         self.stats = stats if stats is not None else SimStats()
-        self.l1 = CacheLevel(config.l1, l1_policy)
+        self.l1 = CacheLevel(config.l1)
         self.l2 = CacheLevel(config.l2)
         self.l3 = CacheLevel(config.l3)
         self.mshrs = MSHRFile(config.l1.mshrs)

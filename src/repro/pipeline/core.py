@@ -94,21 +94,14 @@ class Core:
         program: Program,
         scheme: SecureScheme,
         config: Optional[SystemConfig] = None,
-        stats: Optional[SimStats] = None,
-        hierarchy: Optional[MemoryHierarchy] = None,
         idle_skip: bool = True,
     ):
         self.program = program
         self._idle_skip = idle_skip
         self.config = config if config is not None else default_config()
-        self.stats = stats if stats is not None else SimStats()
+        self.stats = SimStats()
         self.arch = program.initial_state()
-        self.hierarchy = (
-            hierarchy
-            if hierarchy is not None
-            else MemoryHierarchy(self.config.memory, self.stats)
-        )
-        self.hierarchy.stats = self.stats
+        self.hierarchy = MemoryHierarchy(self.config.memory, self.stats)
         self.bpred = GShareBranchPredictor(self.config.branch)
         self.stride = make_stride_table(self.config.predictor)
         self.shadows = ShadowTracker()

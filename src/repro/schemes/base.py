@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.common.errors import ConfigError
+
 # This module is the schemes package's single sanctioned window onto the
 # pipeline (reprolint RPL401): concrete schemes import pipeline types
 # from here, never from repro.pipeline directly, so the full surface a
@@ -76,6 +78,17 @@ __all__ = [
 READY = -1
 """Block key meaning "no restriction — proceed now"."""
 
+#: Each hook the core skips while it is the base no-op, and the fast-path
+#: flag that says a scheme overrides it.
+_HOOK_FLAGS = (
+    ("value_block_seq", "gates_values"),  # NDA's value lock
+    ("load_block_seq", "gates_loads"),  # STT transmitters, DoM delayed misses
+    ("store_block_seq", "gates_stores"),  # STT tainted store addresses
+    ("branch_block_seq", "gates_branches"),  # STT predicates, DoM+AP order
+    ("load_is_probe", "uses_probe"),  # DoM's L1 probe discipline
+    ("load_result_taint", "uses_taint"),  # STT's output taints
+)
+
 
 class SecureScheme:
     """Unsafe baseline behaviour; secure schemes override the hooks."""
@@ -94,38 +107,48 @@ class SecureScheme:
     #: load is non-speculative (paper §5.3); other schemes release at
     #: verification (subject to the value lock).
     dl_miss_release_at_nonspec = False
-    #: Whether the scheme computes taints (only STT pays the cost).
-    uses_taint = False
     #: DoM+VP: delayed misses speculate on a predicted value, validated
     #: (and squashed on mismatch) when the real load returns.
     uses_value_prediction = False
+    #: False for a scheme that takes no doppelganger engine by design
+    #: (DoM+VP, the paper's value-prediction foil): it has no ``+ap``
+    #: label, and asking it for address prediction is a ConfigError.
+    supports_address_prediction = True
 
     # ------------------------------------------------------------------
-    # Fast-path capability flags.  The core hoists these at construction
-    # and skips a hook call site entirely when the scheme declares the
-    # hook is the base no-op — the flag MUST be True whenever the
-    # corresponding hook is overridden (the hooks may have stat side
-    # effects, e.g. NDA's delayed_propagations, STT's
-    # delayed_transmitters, so a wrongly-False flag changes SimStats,
-    # not just timing).
+    # Fast-path flags.  The core hoists these at construction and skips a
+    # hook's call site entirely when its flag is False.  __init_subclass__
+    # sets each to whether the class overrides its hook (_HOOK_FLAGS),
+    # and needs_shadows (the scheme reads the shadow frontier) to whether
+    # it overrides any, so no hook and its stat side effects (NDA's
+    # delayed_propagations, STT's delayed_transmitters) can be skipped by
+    # mistake.  An instance may narrow a flag whose override is a no-op
+    # in its configuration (DoM's branch rule needs address prediction),
+    # never widen one.
     # ------------------------------------------------------------------
-    #: value_block_seq is overridden (NDA's value lock).
     gates_values = False
-    #: load_block_seq is overridden (STT transmitters, DoM delayed misses).
     gates_loads = False
-    #: store_block_seq is overridden (STT tainted store addresses).
     gates_stores = False
-    #: branch_block_seq is overridden (STT tainted predicates, DoM+AP
-    #: in-order resolution).  May be refined per instance in __init__.
     gates_branches = False
-    #: load_is_probe is overridden (DoM's L1 probe discipline).
     uses_probe = False
-    #: The scheme reads the shadow frontier; the core may skip shadow
-    #: tracking entirely when this is False (unsafe baseline) and no
-    #: consumer of the tracker (guardrails, doppelganger engine) exists.
+    uses_taint = False
     needs_shadows = False
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        overridden = {
+            flag: getattr(cls, hook) is not getattr(SecureScheme, hook)
+            for hook, flag in _HOOK_FLAGS
+        }
+        for flag, value in overridden.items():
+            setattr(cls, flag, value)
+        cls.needs_shadows = any(overridden.values())
+
     def __init__(self, address_prediction: bool = False):
+        if address_prediction and not self.supports_address_prediction:
+            raise ConfigError(
+                f"scheme {self.name!r} takes no address prediction (no +ap form)"
+            )
         self.address_prediction = address_prediction
         self.core: Optional["Core"] = None
 

@@ -38,9 +38,6 @@ class DelayOnMiss(SecureScheme):
     name = "dom"
     specflow_policy = "dom"
     dl_miss_release_at_nonspec = True
-    gates_loads = True
-    uses_probe = True
-    needs_shadows = True
 
     def __init__(self, address_prediction: bool = False):
         super().__init__(address_prediction=address_prediction)

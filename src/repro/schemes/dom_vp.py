@@ -29,19 +29,14 @@ class DoMValuePrediction(DelayOnMiss):
 
     The mechanism lives in the core (probe-miss prediction, completion
     validation, dependent squash); this subclass only switches it on and
-    keeps the plain-DoM behaviour everywhere else.  Address prediction is
-    force-disabled: the point is a clean VP-vs-AP comparison.
+    keeps the plain-DoM behaviour everywhere else.  It takes no address
+    prediction: the point is a clean VP-vs-AP comparison.
     """
 
     name = "dom+vp"
     specflow_policy = "dom+vp"
     uses_value_prediction = True
-
-    def __init__(self, address_prediction: bool = False):
-        super().__init__(address_prediction=False)
-
-    def describe(self) -> str:
-        return self.name
+    supports_address_prediction = False
 
     def check_invariants(self, core) -> list:
         """Plain-DoM checks plus the VP gate: a speculatively propagated

@@ -30,8 +30,6 @@ class NDAPermissive(SecureScheme):
 
     name = "nda"
     specflow_policy = "nda"
-    gates_values = True
-    needs_shadows = True
 
     def value_block_seq(self, producer: MicroOp) -> int:
         if not producer.is_load:

@@ -47,11 +47,6 @@ class STT(SecureScheme):
 
     name = "stt"
     specflow_policy = "stt"
-    uses_taint = True
-    gates_loads = True
-    gates_stores = True
-    gates_branches = True
-    needs_shadows = True
 
     def is_tainted(self, taint: int) -> bool:
         """A taint root is cleared once it is non-speculative."""

@@ -11,7 +11,6 @@ from repro.analysis.specflow.model import (
 )
 from repro.analysis.specflow.policies import (
     POLICY_KEYS,
-    STANDARD_SCHEME_LABELS,
     TRANSMIT_BRANCH,
     TRANSMIT_LOAD,
     policy_for,
@@ -35,11 +34,8 @@ class TestPolicyFor:
         assert policy.blocks_spec_taint and policy.ap_observable
 
     def test_every_standard_label_resolves(self):
-        for label in STANDARD_SCHEME_LABELS:
+        for label in CORPUS_SCHEME_LABELS:
             assert policy_for(label).name == label
-
-    def test_corpus_labels_are_the_standard_labels(self):
-        assert tuple(CORPUS_SCHEME_LABELS) == tuple(STANDARD_SCHEME_LABELS)
 
     def test_scheme_instance_resolves_from_declared_policy(self):
         scheme = scheme_factory("dom+ap")

@@ -14,13 +14,11 @@ import pytest
 from repro.attacks.gadgets import STL_DATA_ADDR, store_forward_probe
 from repro.attacks.harness import attack_config
 from repro.pipeline.core import Core
-from repro.schemes import make_scheme
-
-from tests.conftest import ALL_SCHEME_NAMES
+from repro.schemes import SCHEME_LABELS, make_scheme
 
 
 class TestForwardingCorrectness:
-    @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     def test_load_commits_store_value(self, scheme):
         gadget = store_forward_probe(store_value=777)
         reference = gadget.program.interpret()

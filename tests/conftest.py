@@ -18,18 +18,6 @@ from repro.isa.program import Program
 from repro.pipeline.core import Core
 from repro.schemes import make_scheme
 
-ALL_SCHEME_NAMES = (
-    "unsafe",
-    "nda",
-    "stt",
-    "dom",
-    "unsafe+ap",
-    "nda+ap",
-    "stt+ap",
-    "dom+ap",
-)
-
-
 @pytest.fixture
 def small_cfg() -> SystemConfig:
     """A scaled-down configuration exercising capacity limits quickly."""

@@ -6,9 +6,7 @@ import pytest
 from repro.common.config import PredictorConfig, SystemConfig
 from repro.isa.builder import CodeBuilder
 from repro.pipeline.core import Core
-from repro.schemes import make_scheme
-
-from tests.conftest import ALL_SCHEME_NAMES
+from repro.schemes import SCHEME_LABELS, make_scheme
 
 
 def strided_loop(n=400, base=0x20000, stride=8, miss_stride=False):
@@ -55,7 +53,7 @@ class TestPredictionAndIssue:
     def test_architectural_result_unchanged_by_ap(self):
         program = strided_loop()
         reference = program.interpret().state.read_mem(8)
-        for scheme in ALL_SCHEME_NAMES:
+        for scheme in SCHEME_LABELS:
             core = Core(program, make_scheme(scheme))
             core.run()
             assert core.arch.read_mem(8) == reference, scheme

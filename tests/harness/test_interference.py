@@ -8,10 +8,8 @@ from repro.harness.interference import (
     periodic_interference,
 )
 from repro.pipeline.core import Core
-from repro.schemes import make_scheme
+from repro.schemes import SCHEME_LABELS, make_scheme
 from repro.workloads.kernels import STREAM_BASE, stream_kernel
-
-from tests.conftest import ALL_SCHEME_NAMES
 
 
 def victim(iterations=1 << 20, footprint_words=1 << 10):
@@ -63,7 +61,7 @@ class TestQuietInjector:
 
 
 class TestInterferenceUnderLoad:
-    @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     def test_invalidation_storm_preserves_correctness(self, scheme):
         """Invalidations (without data changes) must never change the
         architectural result — only timing."""

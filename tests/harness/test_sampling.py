@@ -1,8 +1,12 @@
 """Tests for the multi-window sampling harness."""
 
+import functools
+
 import pytest
 
+from repro.harness import sampling
 from repro.harness.sampling import SampledResult, sample_benchmark
+from repro.pipeline.core import Core
 
 
 class TestSampledResult:
@@ -33,6 +37,21 @@ class TestSampling:
             "hmmer", "unsafe", windows=4, window_instructions=5000, warmup=6000
         )
         assert result.relative_stdev < 0.08
+
+    @pytest.mark.parametrize("stand_in", ("mcf", "omnetpp_s"))
+    def test_windows_do_not_depend_on_idle_skipping(self, stand_in, monkeypatch):
+        """A window ends on the cycle its last step ran, never on a
+        trailing idle-skip jump, so the per-cycle reference loop measures
+        the same IPCs.  Both pointer chases end windows inside long
+        misses, where the event loop jumps its clock."""
+        def sample():
+            return sample_benchmark(
+                stand_in, "dom", windows=2, window_instructions=1000, warmup=300
+            ).ipcs
+
+        skipping = sample()
+        monkeypatch.setattr(sampling, "Core", functools.partial(Core, idle_skip=False))
+        assert sample() == skipping
 
     def test_invalid_window_count(self):
         with pytest.raises(ValueError):

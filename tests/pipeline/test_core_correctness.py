@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from repro.isa.builder import CodeBuilder
 from repro.isa.program import Program
 from repro.pipeline.core import Core
-from repro.schemes import make_scheme
-
-from tests.conftest import ALL_SCHEME_NAMES
+from repro.schemes import SCHEME_LABELS, make_scheme
 
 DATA_BASE = 0x10000
 DATA_MASK = 0x7F8  # 256 words
@@ -105,7 +103,7 @@ def assert_equivalent(program: Program, scheme_name: str) -> Core:
     return core
 
 
-@pytest.mark.parametrize("scheme_name", ALL_SCHEME_NAMES)
+@pytest.mark.parametrize("scheme_name", SCHEME_LABELS)
 def test_fixed_random_programs_match_interpreter(scheme_name):
     for seed in (1, 2, 3):
         assert_equivalent(random_program(seed), scheme_name)
@@ -128,7 +126,7 @@ def test_property_unsafe_matches_interpreter(seed):
 )
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    scheme_name=st.sampled_from(ALL_SCHEME_NAMES),
+    scheme_name=st.sampled_from(SCHEME_LABELS),
 )
 def test_property_all_schemes_match_interpreter(seed, scheme_name):
     assert_equivalent(random_program(seed, body_length=25, iterations=6), scheme_name)

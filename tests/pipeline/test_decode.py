@@ -94,10 +94,12 @@ class TestKeying:
     def test_capacity_bounded(self):
         config = small_config()
         capacity = cache_info()["capacity"]
-        names = ("hmmer", "mcf", "libquantum", "lbm")
+        programs = [
+            build_workload(name) for name in ("hmmer", "mcf", "libquantum", "lbm")
+        ]
         for index in range(capacity + 8):
             cfg = config.with_overrides(max_cycles=1_000_000 + index)
-            decode_program(build_workload(names[index % len(names)]), cfg)
+            decode_program(programs[index % len(programs)], cfg)
         assert cache_info()["size"] <= capacity
 
 

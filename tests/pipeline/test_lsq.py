@@ -6,13 +6,13 @@ from repro.isa.assembler import assemble
 from repro.isa.builder import CodeBuilder
 from repro.isa.program import Program
 from repro.pipeline.core import Core
-from repro.schemes import make_scheme
+from repro.schemes import SCHEME_LABELS, make_scheme
 
-from tests.conftest import ALL_SCHEME_NAMES, run_to_completion
+from tests.conftest import run_to_completion
 
 
 class TestStoreToLoadForwarding:
-    @pytest.mark.parametrize("scheme_name", ALL_SCHEME_NAMES)
+    @pytest.mark.parametrize("scheme_name", SCHEME_LABELS)
     def test_load_after_store_same_address(self, scheme_name):
         program = Program(
             assemble(
@@ -98,7 +98,7 @@ class TestMemoryOrderViolations:
         b.halt()
         return b.build(name="violation")
 
-    @pytest.mark.parametrize("scheme_name", ALL_SCHEME_NAMES)
+    @pytest.mark.parametrize("scheme_name", SCHEME_LABELS)
     def test_violation_repaired(self, scheme_name):
         core = run_to_completion(self._violation_program(), scheme_name)
         assert core.arch.read_mem(8) == 99

@@ -6,9 +6,9 @@ from repro.isa.assembler import assemble
 from repro.isa.builder import CodeBuilder
 from repro.isa.program import Program
 from repro.pipeline.core import Core
-from repro.schemes import make_scheme
+from repro.schemes import SCHEME_LABELS, make_scheme
 
-from tests.conftest import ALL_SCHEME_NAMES, run_to_completion
+from tests.conftest import run_to_completion
 
 
 def nested_mispredict_program():
@@ -31,7 +31,7 @@ def nested_mispredict_program():
 
 
 class TestRenameRollback:
-    @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     def test_wrong_path_writes_rolled_back(self, scheme):
         core = run_to_completion(nested_mispredict_program(), scheme)
         assert core.arch.read_mem(8) == 101
