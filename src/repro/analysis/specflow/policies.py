@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.common.errors import ConfigError
-from repro.schemes import parse_label
+from repro.schemes import SCHEME_CLASSES, make_scheme, parse_label
 from repro.analysis.specflow.model import KIND_SPEC, TaintFact, Transmitter
 
 TRANSMIT_LOAD = "load"
@@ -115,10 +115,17 @@ def policy_for(scheme) -> PolicyModel:
     Accepts either a scheme *instance* (anything with ``specflow_policy``
     and ``address_prediction`` attributes — every
     :class:`~repro.schemes.base.SecureScheme`) or a *label* string like
-    ``"dom+ap"`` / ``"dom-insecure-branches+ap"``.
+    ``"dom+ap"`` / ``"dom-insecure-branches+ap"``.  A label of the scheme
+    registry resolves through :func:`~repro.schemes.make_scheme`, so it
+    is refused exactly when the simulator refuses it (``"dom+vp+ap"``);
+    other keys, such as the weakened DoM variants, map to their policy
+    directly.
     """
     if isinstance(scheme, str):
-        return _build(*parse_label(scheme))
+        key, address_prediction = parse_label(scheme)
+        if key not in SCHEME_CLASSES:
+            return _build(key, address_prediction)
+        scheme = make_scheme(scheme)
     opt_out = getattr(scheme, "specflow_opt_out", None)
     if opt_out:
         raise ConfigError(

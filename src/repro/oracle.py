@@ -22,6 +22,9 @@ Snapshot vocabulary:
 * :func:`arch_snapshot` / :func:`reference_snapshot` — committed
   architectural state (registers, memory, halt) of a core run or of the
   in-order reference interpreter.
+* :func:`arch_state_matches` — the same judgement on the raw state,
+  without building either snapshot; snapshots then only render a
+  divergence.
 * :func:`observable_snapshot` — the attacker-visible microarchitectural
   view (probe-line residency plus watched access counts).
 * :func:`snapshots_equal` / :func:`diff_snapshots` — equality and a
@@ -86,6 +89,25 @@ def reference_snapshot(result: InterpreterResult) -> Snapshot:
     for address, value in sorted(state.memory.items()):
         snapshot[("mem", address)] = value
     return snapshot
+
+
+def arch_state_matches(core: Core, reference: InterpreterResult) -> bool:
+    """True when a finished core committed the reference's architectural
+    state: its halt flag, registers and memory words.
+
+    Exactly when ``diff_snapshots(reference_snapshot(reference),
+    arch_snapshot(core), ignore=("committed",))`` is empty, at the cost of
+    one list and one dict comparison.  Both snapshots force r0 to 0, so
+    r0 is left out here; a zero-valued word is an entry on both sides, so
+    a word one side wrote as zero and the other never wrote differs here
+    too.
+    """
+    state = reference.state
+    return (
+        core.halted == reference.halted
+        and core.arch.registers[1:] == state.registers[1:]
+        and core.arch.memory == state.memory
+    )
 
 
 def snapshots_equal(snapshots: Mapping[Any, Snapshot]) -> bool:

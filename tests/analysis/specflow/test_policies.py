@@ -47,6 +47,17 @@ class TestPolicyFor:
         with pytest.raises(ConfigError):
             policy_for("retpoline")
 
+    def test_a_label_the_simulator_refuses_is_refused(self):
+        with pytest.raises(ConfigError, match="no address prediction"):
+            scheme_factory("dom+vp+ap")
+        with pytest.raises(ConfigError, match="no address prediction"):
+            policy_for("dom+vp+ap")
+        assert policy_for("DOM+VP").name == "dom+vp"
+
+    def test_weakened_variants_still_resolve(self):
+        for label in ("dom-insecure-branches+ap", "dom-insecure-reissue+ap"):
+            assert policy_for(label).name == label
+
     def test_opt_out_instance_is_a_config_error(self):
         class OptedOut:
             name = "mystery"

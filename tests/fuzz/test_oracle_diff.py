@@ -11,9 +11,15 @@ rewrite keeps on purpose.
 The symmetric difference needs every snapshot value to hash, so
 ``TestSnapshotContract`` checks that the three snapshot kinds hold only
 int, bool or None values.
+
+``TestRawStateJudgement`` holds ``arch_state_matches``, which judges the
+raw state without building a snapshot, to its definition: true exactly
+when the keyed diff of the two snapshots is empty.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +28,12 @@ from repro.attacks.corpus import corpus_entry
 from repro.common.config import small_config
 from repro.fuzz.generator import generate_program
 from repro.fuzz.profiles import PROFILES
+from repro.isa.instructions import NUM_REGISTERS
+from repro.isa.program import ArchState, InterpreterResult
 from repro.oracle import (
     _render_key,
     arch_snapshot,
+    arch_state_matches,
     diff_snapshots,
     interpret_reference,
     noninterference_check,
@@ -165,3 +174,88 @@ class TestSnapshotContract:
         for snapshot in snapshots.values():
             assert snapshot
             assert_values_hash(snapshot)
+
+
+WORDS = st.sampled_from([0, 1, 2, 2**64 - 1])
+#: Few addresses, so the two memories often share words and differ in a
+#: value, in a zero-valued word one side never wrote, or not at all.
+MEMORY = st.dictionaries(st.sampled_from([0, 8, 16, 0x1000]), WORDS, max_size=4)
+
+
+@st.composite
+def state_pairs(draw):
+    """A reference state and a candidate that mostly copies it, with a
+    few registers (r0 included), memory words or the halt flag changed."""
+    registers = draw(st.lists(WORDS, min_size=NUM_REGISTERS, max_size=NUM_REGISTERS))
+    memory = draw(MEMORY)
+    halted = draw(st.booleans())
+    candidate_registers = list(registers)
+    changed = draw(st.dictionaries(st.integers(0, NUM_REGISTERS - 1), WORDS, max_size=3))
+    for index, value in changed.items():
+        candidate_registers[index] = value
+    candidate_memory = dict(memory)
+    for address in draw(st.sets(st.sampled_from(sorted(memory) or [0]), max_size=2)):
+        candidate_memory.pop(address, None)
+    candidate_memory.update(draw(MEMORY if draw(st.booleans()) else st.just({})))
+    reference = InterpreterResult(
+        state=ArchState(registers, memory), instructions_executed=1, halted=halted
+    )
+    core = SimpleNamespace(
+        halted=draw(st.booleans()) if draw(st.booleans()) else halted,
+        arch=ArchState(candidate_registers, candidate_memory),
+        stats=SimpleNamespace(committed_instructions=draw(st.integers(0, 3))),
+    )
+    return core, reference
+
+
+def keyed_diff(core, reference):
+    return diff_snapshots(
+        reference_snapshot(reference), arch_snapshot(core), ignore=("committed",)
+    )
+
+
+class TestRawStateJudgement:
+    @settings(max_examples=500, deadline=None)
+    @given(pair=state_pairs())
+    def test_matches_exactly_when_the_keyed_diff_is_empty(self, pair):
+        core, reference = pair
+        assert arch_state_matches(core, reference) == (keyed_diff(core, reference) == [])
+
+    def test_r0_is_left_out(self):
+        core, reference = self.identical()
+        core.arch.registers[0] = 5
+        assert arch_state_matches(core, reference)
+        assert keyed_diff(core, reference) == []
+
+    def test_a_zero_word_differs_from_an_unwritten_one(self):
+        core, reference = self.identical()
+        core.arch.memory[0x40] = 0
+        assert not arch_state_matches(core, reference)
+        assert keyed_diff(core, reference) == ["[0x40]: expected '<absent>', got 0"]
+
+    def test_the_committed_count_is_not_judged(self):
+        core, reference = self.identical()
+        core.stats.committed_instructions += 1
+        assert arch_state_matches(core, reference)
+
+    def test_halt_flag_and_registers_are(self):
+        for change in (
+            lambda core: setattr(core, "halted", False),
+            lambda core: core.arch.registers.__setitem__(NUM_REGISTERS - 1, 1),
+        ):
+            core, reference = self.identical()
+            change(core)
+            assert not arch_state_matches(core, reference)
+            assert keyed_diff(core, reference)
+
+    @staticmethod
+    def identical():
+        reference = InterpreterResult(
+            state=ArchState(memory={8: 3}), instructions_executed=1, halted=True
+        )
+        core = SimpleNamespace(
+            halted=True,
+            arch=reference.state.copy(),
+            stats=SimpleNamespace(committed_instructions=1),
+        )
+        return core, reference

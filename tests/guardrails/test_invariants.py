@@ -21,7 +21,7 @@ from repro.guardrails import InvariantChecker, smoke_program
 from repro.isa.instructions import Instruction, Opcode
 from repro.pipeline.core import Core
 from repro.pipeline.uop import STATE_COMMITTED, STATE_COMPLETED, MicroOp, UopState
-from repro.schemes import make_scheme
+from repro.schemes import SCHEME_LABELS, make_scheme
 
 
 def make_core(scheme="unsafe", level="full", dump_dir=None, instructions=600):
@@ -704,9 +704,7 @@ class TestEveryViolationTemplate:
         assert counts == TEMPLATE_COUNTS
         assert sum(counts.values()) == 36
 
-    @pytest.mark.parametrize(
-        "scheme", ("unsafe", "nda", "stt", "dom", "dom+ap", "dom+vp")
-    )
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     def test_hand_built_window_is_clean(self, scheme):
         w = Window(scheme)
         w.add("alu", in_iq=True)

@@ -20,9 +20,7 @@ import pytest
 from repro.common.config import GuardrailConfig, small_config
 from repro.isa.builder import CodeBuilder
 from repro.pipeline.core import Core
-from repro.schemes import make_scheme
-
-ALL_SCHEMES = ("unsafe", "nda", "stt", "dom", "dom+ap", "dom+vp")
+from repro.schemes import SCHEME_LABELS, make_scheme
 
 
 def assert_stats_identical(event_core, reference_core):
@@ -126,7 +124,7 @@ class TestDifferentialEquivalence:
     """Satellite 3: skip-on vs skip-off must commit *identical* stats —
     every counter, including the cycle count — across all schemes."""
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     @pytest.mark.parametrize("workload", ["mcf", "hmmer", "lbm"])
     def test_figure6_workloads_bit_identical(self, workload, scheme):
         from repro.workloads.profiles import build_workload
@@ -140,7 +138,7 @@ class TestDifferentialEquivalence:
         reference.run(max_instructions=budget)
         assert_stats_identical(event, reference)
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     def test_mshr_pressure_bit_identical(self, scheme):
         event = Core(mshr_burst_program(), make_scheme(scheme))
         event.run()
@@ -151,7 +149,7 @@ class TestDifferentialEquivalence:
         assert event.halted and reference.halted
         assert_stats_identical(event, reference)
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     def test_forward_block_bit_identical(self, scheme):
         event = Core(forward_block_program(), make_scheme(scheme))
         event.run()
@@ -236,7 +234,7 @@ class TestPropertySweep:
     GUARDRAIL_LEVELS = ("off", "full")
 
     @pytest.mark.parametrize("guardrails", GUARDRAIL_LEVELS)
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEME_LABELS)
     @pytest.mark.parametrize("seed", range(4))
     def test_random_programs_bit_identical(self, seed, scheme, guardrails):
         config = small_config().with_overrides(
