@@ -64,11 +64,11 @@ def run_program(
     core.run(max_instructions=warmup + measure)
     stats = _stats_delta(before, core.stats)
     halted = core.halted
-    # A Core's object graph is cyclic (uop waiters, the bound-method
-    # handler table, scheme/engine/guardrail back-references), so only
-    # the cyclic collector frees it, and run() keeps that collector off
-    # while the core allocates most of its objects.  Collect here, so a
-    # worker never holds finished cores waiting for the next collection.
+    # The core itself is cyclic (the bound-method handler table,
+    # scheme/engine/guardrail back-references), so only the cyclic
+    # collector frees it; its uops are already freed by reference count
+    # as they retire or are squashed.  Collect here, so a worker never
+    # holds finished cores waiting for the next collection.
     del core
     gc.collect()
     if halted and measure > 0 and stats.committed_instructions == 0:
