@@ -10,15 +10,18 @@ re-running the benches after an unrelated code change simulates nothing.
 Environment knobs:
 
 * ``REPRO_BENCH_WARMUP`` / ``REPRO_BENCH_MEASURE`` — instructions per
-  window (defaults 2000 / 8000: minutes, not hours; raise for tighter
-  statistics, e.g. 6000 / 30000 for the numbers in EXPERIMENTS.md).
+  window (defaults 2000 / 8000, the windows that wrote the checked-in
+  ``benchmarks/output/`` files; other windows move the numbers, e.g.
+  6000 / 30000 for tighter statistics).
 * ``REPRO_BENCH_SUITE`` — ``all`` (default), ``spec2006``, ``spec2017``.
 * ``REPRO_BENCH_JOBS`` — worker processes for the shared sweep
   (default: one per CPU; results are identical for any value).
 * ``REPRO_BENCH_CACHE`` — persistent result-cache directory (optional).
 
-Each bench writes its rendered table under ``benchmarks/output/`` so the
-regenerated series can be diffed against EXPERIMENTS.md.
+Each bench writes its rendered table under ``benchmarks/output/``.  The
+checked-in files are the tables at the default windows, and CI fails
+when a fresh run at those windows changes any of them, so a change that
+moves a figure number shows up as a diff of that number.
 """
 
 from __future__ import annotations
