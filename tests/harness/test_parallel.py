@@ -58,6 +58,30 @@ class TestParity:
         assert result.stats == serial_results[0].stats
 
 
+START_BENCHMARKS = ("hmmer", "mcf", "gcc", "namd")
+START_SCHEMES = ("unsafe", "nda", "stt", "dom", "dom+ap", "stt+ap")
+
+
+def sweep_rows(session):
+    results = session.sweep(START_BENCHMARKS, START_SCHEMES)
+    return [(r.benchmark, r.scheme, r.stats) for r in results]
+
+
+@pytest.fixture(scope="module")
+def inline_rows():
+    return sweep_rows(ParallelSession(warmup=500, measure=1500, jobs=1))
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_every_start_method_matches_the_inline_sweep(inline_rows, method):
+    """A worker's results must not depend on what it inherited: under
+    fork it shares the parent's heap (and freezes it), under forkserver
+    and spawn it imports everything afresh."""
+    session = ParallelSession(warmup=500, measure=1500, jobs=2, mp_context=method)
+    assert sweep_rows(session) == inline_rows
+    assert session.simulated == len(inline_rows)
+
+
 class TestDiskCache:
     def test_warm_cache_resimulates_nothing(self, serial_results, tmp_path):
         """Acceptance: second invocation with a warm cache simulates 0."""
