@@ -279,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--schemes", default=None,
-        help="comma-separated scheme names (default: unsafe + every secure "
-             "scheme)",
+        help="comma-separated scheme names (default: "
+             "unsafe,nda,stt,dom,dom+ap,dom+vp)",
     )
     fuzz.add_argument(
         "--matrix", choices=("full", "schemes"), default="full",

@@ -1,9 +1,10 @@
 """Differential fuzzing: generate, cross-check, minimize, replay.
 
 The empirical counterpart to proof-based speculation safety: run seeded
-random programs under the unsafe baseline and every secure scheme (×
-idle_skip × guardrails) and demand identical architectural state
-everywhere, with the invariant checker and watchdog silent throughout.
+random programs under a set of schemes (by default ``DEFAULT_FUZZ_SCHEMES``:
+unsafe, nda, stt, dom, dom+ap and dom+vp) × idle_skip × guardrails and
+demand identical architectural state everywhere, with the invariant
+checker and watchdog silent throughout.
 
 Layers (each importable on its own):
 

@@ -43,8 +43,9 @@ from repro.harness.jobs import (
     replay_command,
 )
 
-#: Default schemes a campaign crosses — the unsafe baseline plus every
-#: secure scheme, with and without address prediction for DoM.
+#: Default schemes a campaign crosses: unsafe, nda, stt, dom, dom+ap and
+#: dom+vp.  The +ap forms of unsafe, NDA and STT are left out, so a full
+#: matrix is 24 executions a program (6 schemes × idle_skip × guardrails).
 DEFAULT_FUZZ_SCHEMES: Tuple[str, ...] = (
     "unsafe",
     "nda",

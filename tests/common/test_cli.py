@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,3 +169,14 @@ class TestFuzz:
         assert main(["fuzz", "--seeds", "1", "--profiles", "nope",
                      "--repro-dir", str(tmp_path)]) == 1
         assert "unknown fuzz profile" in capsys.readouterr().err
+
+    def test_help_names_the_default_schemes(self, capsys):
+        from repro.fuzz import DEFAULT_FUZZ_SCHEMES
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        help_line = text.rsplit("--schemes SCHEMES", 1)[1]
+        named = re.search(r"\(default: ([^)]*)\)", help_line).group(1)
+        assert tuple(named.split(",")) == DEFAULT_FUZZ_SCHEMES
