@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.common.config import (
@@ -17,6 +19,7 @@ from repro.isa.builder import CodeBuilder
 from repro.isa.program import Program
 from repro.pipeline.core import Core
 from repro.schemes import make_scheme
+from repro.workloads.profiles import build_workload
 
 @pytest.fixture
 def small_cfg() -> SystemConfig:
@@ -28,6 +31,14 @@ def small_cfg() -> SystemConfig:
 def default_like_cfg() -> SystemConfig:
     """The Table 1 configuration (shared instance is fine: frozen)."""
     return SystemConfig()
+
+
+@pytest.fixture(scope="session")
+def stand_in():
+    """``build_workload`` that builds each SPEC stand-in once per session:
+    a Program is never mutated, so every core of one workload can share
+    it."""
+    return functools.cache(build_workload)
 
 
 def run_to_completion(program: Program, scheme_name: str, config=None):
