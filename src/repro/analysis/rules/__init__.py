@@ -7,7 +7,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for side effects)
     hot_path,
     hygiene,
     layering,
-    policy_meta,
     typed_errors,
     worker_safety,
 )

@@ -54,9 +54,10 @@ CONTRACTS: Tuple[LayerContract, ...] = (
     LayerContract(
         scope="repro.schemes",
         forbidden="repro.analysis",
-        why="schemes declare their specflow policy as a plain string "
-        "(specflow_policy) precisely so the policy layer never depends on "
-        "the analyzer; the analyzer resolves the string on its side",
+        why="schemes declare their leakage model as plain booleans "
+        "(blocks_spec_taint, invisible_speculation, ...) precisely so the "
+        "policy layer never depends on the analyzer; the analyzer builds "
+        "its PolicyModel from them on its side",
     ),
     *(
         LayerContract(

@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from repro.cli import scheme_labels
 from repro.common.errors import ConfigError, SpecflowUsageError
 
 EXIT_CLEAN = 0
@@ -31,7 +32,7 @@ def add_specflow_arguments(parser: argparse.ArgumentParser) -> None:
              "attack corpus; see --list-gadgets)",
     )
     parser.add_argument(
-        "--schemes", default=None,
+        "--schemes", default=None, type=scheme_labels,
         help="comma-separated scheme labels (default: the full corpus "
              "matrix, e.g. unsafe,nda,...,dom+ap,dom-insecure-branches+ap)",
     )
@@ -64,10 +65,11 @@ def add_specflow_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_schemes(raw: Optional[str], known: List[str]) -> Optional[List[str]]:
-    if raw is None:
+def _check_schemes(
+    labels: Optional[Tuple[str, ...]], known: List[str]
+) -> Optional[Tuple[str, ...]]:
+    if labels is None:
         return None
-    labels = [label.strip() for label in raw.split(",") if label.strip()]
     if not labels:
         raise SpecflowUsageError("--schemes given but empty")
     for label in labels:
@@ -96,7 +98,7 @@ def run_specflow(args: argparse.Namespace) -> int:
                         f"unknown corpus gadget {name!r}; expected one of "
                         f"{sorted(CORPUS_BY_NAME)}"
                     )
-        schemes = _parse_schemes(args.schemes, list(CORPUS_SCHEME_LABELS))
+        schemes = _check_schemes(args.schemes, list(CORPUS_SCHEME_LABELS))
         if args.fuzz_seeds < 0:
             raise SpecflowUsageError("--fuzz-seeds must be >= 0")
         report = run_differential(

@@ -27,19 +27,24 @@ racy: a policy may classify a transmitter as leaking that the simulator
 never wins the race to observe.  The differential harness only requires
 the sound inclusion (static ``leak-possible`` ⊇ dynamic leak).
 
-Schemes name their policy with a plain string class attribute
-(``specflow_policy``) rather than importing this module — the schemes
-package must stay independent of the analysis layer (reprolint RPL401);
-rule RPL901 enforces that every scheme declares the attribute.
+Each scheme class declares these facts itself, as plain boolean class
+attributes of the same names beside the hooks that implement them
+(:class:`~repro.schemes.base.SecureScheme`), so the schemes package
+stays independent of the analysis layer (reprolint RPL401).  Its
+all-False defaults are the unsafe model, the sound one for a class that
+declares nothing.  ``ap_observable`` is the instance's
+``address_prediction``, and the two rules that exist only under address
+prediction (``inorder_branches``, ``explicit_reissue_leak``) hold only
+when it is on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
-from repro.common.errors import ConfigError
-from repro.schemes import SCHEME_CLASSES, make_scheme, parse_label
+from repro.attacks.corpus import scheme_factory
+from repro.schemes.base import SecureScheme
 from repro.analysis.specflow.model import KIND_SPEC, TaintFact, Transmitter
 
 TRANSMIT_LOAD = "load"
@@ -59,86 +64,22 @@ class PolicyModel:
     explicit_reissue_leak: bool = False
 
 
-#: Policy keys a scheme may put in ``specflow_policy``.
-POLICY_KEYS = (
-    "unsafe",
-    "nda",
-    "stt",
-    "dom",
-    "dom+vp",
-    "dom-insecure-branches",
-    "dom-insecure-reissue",
-)
-
-
-def _build(key: str, ap: bool) -> PolicyModel:
-    name = key + ("+ap" if ap else "")
-    if key == "unsafe":
-        return PolicyModel(name, ap_observable=ap)
-    if key in ("nda", "stt"):
-        return PolicyModel(name, blocks_spec_taint=True, ap_observable=ap)
-    if key == "dom":
-        return PolicyModel(
-            name,
-            invisible_speculation=True,
-            inorder_branches=ap,
-            ap_observable=ap,
-        )
-    if key == "dom+vp":
-        # DoMValuePrediction takes no address prediction (the point is a
-        # clean VP-vs-AP comparison), so no doppelganger channel and no
-        # need for the in-order branch rule.
-        return PolicyModel("dom+vp", invisible_speculation=True)
-    if key == "dom-insecure-branches":
-        return PolicyModel(
-            name,
-            invisible_speculation=True,
-            inorder_branches=False,
-            ap_observable=ap,
-        )
-    if key == "dom-insecure-reissue":
-        return PolicyModel(
-            name,
-            invisible_speculation=True,
-            inorder_branches=ap,
-            ap_observable=ap,
-            explicit_reissue_leak=ap,
-        )
-    raise ConfigError(
-        f"unknown specflow policy {key!r}; expected one of {sorted(POLICY_KEYS)}"
-    )
-
-
-def policy_for(scheme) -> PolicyModel:
-    """The :class:`PolicyModel` for a scheme.
-
-    Accepts either a scheme *instance* (anything with ``specflow_policy``
-    and ``address_prediction`` attributes — every
-    :class:`~repro.schemes.base.SecureScheme`) or a *label* string like
-    ``"dom+ap"`` / ``"dom-insecure-branches+ap"``.  A label of the scheme
-    registry resolves through :func:`~repro.schemes.make_scheme`, so it
-    is refused exactly when the simulator refuses it (``"dom+vp+ap"``);
-    other keys, such as the weakened DoM variants, map to their policy
-    directly.
-    """
+def policy_for(scheme: Union[str, SecureScheme]) -> PolicyModel:
+    """The :class:`PolicyModel` for a scheme instance, or for a label
+    such as ``"dom+ap"`` or ``"dom-insecure-branches+ap"``.  A label is
+    built by :func:`~repro.attacks.corpus.scheme_factory`, so it is
+    refused exactly when the simulator refuses it (``"dom+vp+ap"``)."""
     if isinstance(scheme, str):
-        key, address_prediction = parse_label(scheme)
-        if key not in SCHEME_CLASSES:
-            return _build(key, address_prediction)
-        scheme = make_scheme(scheme)
-    opt_out = getattr(scheme, "specflow_opt_out", None)
-    if opt_out:
-        raise ConfigError(
-            f"scheme {getattr(scheme, 'name', scheme)!r} opted out of "
-            f"specflow analysis: {opt_out}"
-        )
-    key = getattr(scheme, "specflow_policy", None)
-    if not isinstance(key, str):
-        raise ConfigError(
-            f"scheme {getattr(scheme, 'name', scheme)!r} declares no "
-            f"specflow_policy string (and no specflow_opt_out)"
-        )
-    return _build(key, bool(getattr(scheme, "address_prediction", False)))
+        scheme = scheme_factory(scheme)
+    ap = bool(scheme.address_prediction)
+    return PolicyModel(
+        scheme.name + ("+ap" if ap else ""),
+        blocks_spec_taint=scheme.blocks_spec_taint,
+        invisible_speculation=scheme.invisible_speculation,
+        inorder_branches=ap and scheme.inorder_branches,
+        ap_observable=ap,
+        explicit_reissue_leak=ap and scheme.explicit_reissue_leak,
+    )
 
 
 def surviving_facts(
@@ -186,7 +127,6 @@ def block_note(policy: PolicyModel, transmitter: Transmitter) -> str:
 
 
 __all__ = [
-    "POLICY_KEYS",
     "PolicyModel",
     "TRANSMIT_BRANCH",
     "TRANSMIT_LOAD",

@@ -28,7 +28,7 @@ expected-static row is plain strings, compared by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple, Type
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.attacks.gadgets import (
     Gadget,
@@ -36,12 +36,9 @@ from repro.attacks.gadgets import (
     spectre_v1,
     store_forward_probe,
 )
-from repro.attacks.variants import (
-    InsecureDoMAPEagerMispredictReissue,
-    InsecureDoMAPWithoutInOrderBranches,
-)
+from repro.attacks.variants import INSECURE_VARIANTS
 from repro.common.errors import ConfigError
-from repro.schemes import SCHEME_LABELS, make_scheme
+from repro.schemes import SCHEME_LABELS, make_scheme, parse_label
 from repro.schemes.base import SecureScheme
 
 DYNAMIC_LEAK = "leak"
@@ -49,25 +46,23 @@ DYNAMIC_CLEAN = "clean"
 STATIC_LEAK = "leak-possible"
 STATIC_SAFE = "safe"
 
-#: The deliberately weakened variants, only ever run with address
-#: prediction (the rule each one removes closes a doppelganger channel).
-_INSECURE_VARIANTS: Dict[str, Type[SecureScheme]] = {
-    "dom-insecure-branches+ap": InsecureDoMAPWithoutInOrderBranches,
-    "dom-insecure-reissue+ap": InsecureDoMAPEagerMispredictReissue,
-}
-
 #: Every scheme configuration the corpus pins: every registry label, then
-#: the weakened variants.
-CORPUS_SCHEME_LABELS: Tuple[str, ...] = SCHEME_LABELS + tuple(_INSECURE_VARIANTS)
+#: the ``+ap`` form of each weakened variant.
+CORPUS_SCHEME_LABELS: Tuple[str, ...] = SCHEME_LABELS + tuple(
+    key + "+ap" for key in INSECURE_VARIANTS
+)
 
 
 def scheme_factory(label: str) -> SecureScheme:
-    """A fresh scheme instance for ``label`` (fresh per run — scheme
-    objects carry a core binding, so sharing across runs is a bug)."""
-    variant = _INSECURE_VARIANTS.get(label)
-    if variant is not None:
-        return variant(address_prediction=True)
-    return make_scheme(label)
+    """A fresh scheme instance for ``label``: a registry label, or a
+    weakened variant's key with an optional ``+ap`` (fresh per run —
+    scheme objects carry a core binding, so sharing across runs is a
+    bug)."""
+    key, address_prediction = parse_label(label)
+    variant = INSECURE_VARIANTS.get(key)
+    if variant is None:
+        return make_scheme(label)
+    return variant(address_prediction=address_prediction)
 
 
 def _rows(leak_labels: Tuple[str, ...], leak: str, clean: str) -> Dict[str, str]:

@@ -8,6 +8,8 @@ tests/examples — their names say so.
 
 from __future__ import annotations
 
+from typing import Dict, Type
+
 from repro.pipeline.uop import MicroOp
 from repro.schemes.base import READY
 from repro.schemes.dom import DelayOnMiss
@@ -23,7 +25,7 @@ class InsecureDoMAPWithoutInOrderBranches(DelayOnMiss):
     """
 
     name = "dom-insecure-branches"
-    specflow_policy = "dom-insecure-branches"
+    inorder_branches = False  # branch_block_seq below drops §4.6's rule
 
     def branch_block_seq(self, branch: MicroOp, operand_taint: int) -> int:
         return READY
@@ -39,9 +41,22 @@ class InsecureDoMAPEagerMispredictReissue(DelayOnMiss):
     """
 
     name = "dom-insecure-reissue"
-    specflow_policy = "dom-insecure-reissue"
+    explicit_reissue_leak = True  # load_block_seq below drops §5.3's rule
 
     def load_block_seq(self, load: MicroOp) -> int:
         if load.dom_delayed and self.shadows.is_speculative(load.seq):
             return load.seq
         return READY
+
+
+#: Each weakened variant by its key, the way :func:`repro.schemes.parse_label`
+#: splits a label.  Each removes a rule that closes a doppelganger
+#: channel, so the attack corpus runs each only with ``+ap``; without
+#: address prediction a variant runs, and is judged, as plain DoM.
+INSECURE_VARIANTS: Dict[str, Type[DelayOnMiss]] = {
+    variant.name: variant
+    for variant in (
+        InsecureDoMAPWithoutInOrderBranches,
+        InsecureDoMAPEagerMispredictReissue,
+    )
+}

@@ -36,10 +36,28 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.schemes import SCHEME_CLASSES, SCHEME_LABELS, make_scheme
+
+
+def comma_list(spec: str) -> Tuple[str, ...]:
+    """The entries of a comma-separated option, stripped; empty entries
+    (the one after ``dom,``) are dropped."""
+    return tuple(name.strip() for name in spec.split(",") if name.strip())
+
+
+def scheme_label(label: str) -> str:
+    """The one spelling of a scheme label that a run, a cache key and a
+    report use: ``" DOM+AP"`` gives ``"dom+ap"``.  Every ``--scheme``
+    and ``--schemes`` entry passes through here as it is parsed."""
+    return label.strip().lower()
+
+
+def scheme_labels(spec: str) -> Tuple[str, ...]:
+    """A ``--schemes`` list, each label in its canonical spelling."""
+    return tuple(scheme_label(name) for name in comma_list(spec))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one benchmark under one scheme")
     run.add_argument("benchmark")
-    run.add_argument("--scheme", default="unsafe")
+    run.add_argument("--scheme", default="unsafe", type=scheme_label)
     run.add_argument("--warmup", type=int, default=4000)
     run.add_argument("--measure", type=int, default=16000)
     run.add_argument(
@@ -70,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated names, or a suite (all/spec2006/spec2017)",
     )
     sweep.add_argument(
-        "--schemes", default=None,
+        "--schemes", default=None, type=scheme_labels,
         help="comma-separated scheme names (default: unsafe and the "
              "Figure 6 schemes)",
     )
@@ -189,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="trace a window of the pipeline")
     trace.add_argument("benchmark")
-    trace.add_argument("--scheme", default="dom+ap")
+    trace.add_argument("--scheme", default="dom+ap", type=scheme_label)
     trace.add_argument("--instructions", type=int, default=300)
     trace.add_argument("--window", type=int, default=40)
 
@@ -199,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "full guardrails; report per invariant class",
     )
     doctor.add_argument(
-        "--schemes", default=None,
+        "--schemes", default=None, type=scheme_labels,
         help="comma-separated scheme names (default: every variant)",
     )
     doctor.add_argument("--instructions", type=int, default=4000)
@@ -234,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated benchmark names (default: hmmer,mcf)",
     )
     chaos.add_argument(
-        "--schemes", default="unsafe,dom+ap",
+        "--schemes", default="unsafe,dom+ap", type=scheme_labels,
         help="comma-separated scheme names (default: unsafe,dom+ap)",
     )
     chaos.add_argument("--warmup", type=int, default=300)
@@ -278,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "seed window (default: every named profile)",
     )
     fuzz.add_argument(
-        "--schemes", default=None,
+        "--schemes", default=None, type=scheme_labels,
         help="comma-separated scheme names (default: "
              "unsafe,nda,stt,dom,dom+ap,dom+vp)",
     )
@@ -419,15 +437,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.benchmarks in ("all", "spec2006", "spec2017"):
         benchmarks = benchmark_names(args.benchmarks)
     else:
-        benchmarks = tuple(name.strip() for name in args.benchmarks.split(","))
+        benchmarks = comma_list(args.benchmarks)
         for name in benchmarks:
             if name not in PROFILES_BY_NAME:
                 print(f"error: unknown benchmark {name!r}", file=sys.stderr)
                 return 1
-    if args.schemes is None:
+    schemes = args.schemes
+    if schemes is None:
         schemes = (BASELINE_SCHEME,) + FIGURE_SCHEMES
-    else:
-        schemes = tuple(name.strip() for name in args.schemes.split(","))
 
     if args.resume and args.cache_dir is None:
         print("error: --resume requires --cache-dir (the ledger lives "
@@ -634,12 +651,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro.guardrails import run_doctor
 
-    if args.schemes is None:
-        schemes = SCHEME_LABELS
-    else:
-        schemes = tuple(name.strip() for name in args.schemes.split(","))
     report = run_doctor(
-        schemes=schemes,
+        schemes=SCHEME_LABELS if args.schemes is None else args.schemes,
         instructions=args.instructions,
         lint_preflight=not args.no_lint,
         fuzz_smoke=not args.no_fuzz,
@@ -653,16 +666,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.harness.chaos import run_chaos_check
 
-    benchmarks = tuple(
-        name.strip() for name in args.benchmarks.split(",") if name.strip()
-    )
-    schemes = tuple(
-        name.strip() for name in args.schemes.split(",") if name.strip()
-    )
     report = run_chaos_check(
         seed=args.seed,
-        benchmarks=benchmarks,
-        schemes=schemes,
+        benchmarks=comma_list(args.benchmarks),
+        schemes=args.schemes,
         warmup=args.warmup,
         measure=args.measure,
         jobs=args.jobs,
@@ -674,12 +681,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _fuzz_schemes(spec: Optional[str]) -> tuple:
+def _fuzz_schemes(schemes: Optional[Tuple[str, ...]]) -> tuple:
     from repro.fuzz import DEFAULT_FUZZ_SCHEMES
 
-    if spec is None:
-        return tuple(DEFAULT_FUZZ_SCHEMES)
-    return tuple(name.strip() for name in spec.split(",") if name.strip())
+    return tuple(DEFAULT_FUZZ_SCHEMES) if schemes is None else schemes
 
 
 def _fuzz_profiles(spec: Optional[str]) -> tuple:
@@ -688,9 +693,7 @@ def _fuzz_profiles(spec: Optional[str]) -> tuple:
 
     if spec is None:
         return tuple(PROFILES.values())
-    return resolve_profiles(
-        tuple(name.strip() for name in spec.split(",") if name.strip())
-    )
+    return resolve_profiles(comma_list(spec))
 
 
 def _cmd_fuzz_replay(path: str) -> int:

@@ -95,12 +95,6 @@ class SecureScheme:
 
     #: Short identifier used by the harness and result labels.
     name = "unsafe"
-    #: Which declarative policy model the static leakage analyzer
-    #: (``repro.analysis.specflow``) uses for this scheme.  A plain string
-    #: key — never an object — so schemes stay import-independent of the
-    #: analysis layer (reprolint RPL401); RPL901 enforces that every
-    #: scheme class declares one (or an explicit ``specflow_opt_out``).
-    specflow_policy = "unsafe"
     #: True when the doppelganger engine should run on this scheme.
     address_prediction = False
     #: DoM releases doppelganger values that missed in the L1 only once the
@@ -114,6 +108,27 @@ class SecureScheme:
     #: (DoM+VP, the paper's value-prediction foil): it has no ``+ap``
     #: label, and asking it for address prediction is a ConfigError.
     supports_address_prediction = True
+
+    # ------------------------------------------------------------------
+    # Leakage model.  The static analyzer (``repro.analysis.specflow``)
+    # judges a scheme by these facts, each set by the class whose hooks
+    # implement it.  They are plain booleans, so schemes never import
+    # the analysis layer (reprolint RPL401).  The all-False defaults are
+    # the unsafe model: a class that declares nothing is judged to block
+    # nothing, which is sound.  Whether doppelganger accesses are
+    # observable follows from ``address_prediction``.
+    # ------------------------------------------------------------------
+    #: No transmitter executes with data acquired inside its own
+    #: speculation window (NDA-P's value lock, STT's taint gates).
+    blocks_spec_taint = False
+    #: Speculative accesses leave no trace in the memory hierarchy (DoM).
+    invisible_speculation = False
+    #: Under address prediction only: branches resolve once
+    #: non-speculative (DoM+AP, §4.6).
+    inorder_branches = False
+    #: Under address prediction only: a mispredicted doppelganger's real
+    #: load re-issues while speculative (§5.3's rule removed).
+    explicit_reissue_leak = False
 
     # ------------------------------------------------------------------
     # Fast-path flags.  The core hoists these at construction and skips a

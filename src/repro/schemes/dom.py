@@ -36,8 +36,9 @@ class DelayOnMiss(SecureScheme):
     """Figure 1(d): speculative L1 hits proceed, speculative misses wait."""
 
     name = "dom"
-    specflow_policy = "dom"
     dl_miss_release_at_nonspec = True
+    invisible_speculation = True  # load_is_probe, load_block_seq
+    inorder_branches = True  # branch_block_seq, under address prediction
 
     def __init__(self, address_prediction: bool = False):
         super().__init__(address_prediction=address_prediction)

@@ -34,7 +34,6 @@ class DoMValuePrediction(DelayOnMiss):
     """
 
     name = "dom+vp"
-    specflow_policy = "dom+vp"
     uses_value_prediction = True
     supports_address_prediction = False
 

@@ -29,7 +29,7 @@ class NDAPermissive(SecureScheme):
     while speculative."""
 
     name = "nda"
-    specflow_policy = "nda"
+    blocks_spec_taint = True  # the value lock below
 
     def value_block_seq(self, producer: MicroOp) -> int:
         if not producer.is_load:

@@ -46,7 +46,7 @@ class STT(SecureScheme):
     transmitters until their operands untaint."""
 
     name = "stt"
-    specflow_policy = "stt"
+    blocks_spec_taint = True  # the transmitter gates below
 
     def is_tainted(self, taint: int) -> bool:
         """A taint root is cleared once it is non-speculative."""

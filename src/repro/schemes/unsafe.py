@@ -14,4 +14,3 @@ class UnsafeBaseline(SecureScheme):
     """Figure 1(a): forwards speculatively loaded values unconditionally."""
 
     name = "unsafe"
-    specflow_policy = "unsafe"

@@ -20,6 +20,10 @@ class TestExitCodes:
         assert main(["specflow", "--schemes", "unsafe,warp-drive"]) == 2
         assert "warp-drive" in capsys.readouterr().err
 
+    def test_scheme_label_spelling_is_canonical(self, capsys):
+        assert main(["specflow", "--schemes", "DOM+AP", "--static-only"]) == 0
+        assert "dom+ap " in capsys.readouterr().out
+
     def test_negative_fuzz_seeds_is_a_usage_error(self, capsys):
         assert main(["specflow", "--fuzz-seeds", "-1"]) == 2
         assert "usage error" in capsys.readouterr().err

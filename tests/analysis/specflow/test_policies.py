@@ -10,7 +10,7 @@ from repro.analysis.specflow.model import (
     TaintFact,
 )
 from repro.analysis.specflow.policies import (
-    POLICY_KEYS,
+    PolicyModel,
     TRANSMIT_BRANCH,
     TRANSMIT_LOAD,
     policy_for,
@@ -18,6 +18,7 @@ from repro.analysis.specflow.policies import (
 )
 from repro.attacks.corpus import CORPUS_SCHEME_LABELS, scheme_factory
 from repro.common.errors import ConfigError
+from repro.schemes.base import SecureScheme
 
 
 def transmitter(kind=TRANSMIT_LOAD, *fact_kinds):
@@ -58,27 +59,22 @@ class TestPolicyFor:
         for label in ("dom-insecure-branches+ap", "dom-insecure-reissue+ap"):
             assert policy_for(label).name == label
 
-    def test_opt_out_instance_is_a_config_error(self):
-        class OptedOut:
+    def test_weakened_variant_without_ap_is_judged_as_dom(self):
+        # The rule each variant removes exists only under address
+        # prediction, so without it the variant runs, and is judged, as
+        # plain DoM; scheme_factory and policy_for accept the same labels.
+        for key in ("dom-insecure-branches", "dom-insecure-reissue"):
+            assert not scheme_factory(key).address_prediction
+            assert policy_for(key) == PolicyModel(key, invisible_speculation=True)
+
+    def test_undeclared_scheme_gets_the_unsafe_model(self):
+        class Undeclared(SecureScheme):
             name = "mystery"
-            specflow_opt_out = True
-            address_prediction = False
 
-        with pytest.raises(ConfigError):
-            policy_for(OptedOut())
-
-    def test_undeclared_instance_is_a_config_error(self):
-        class Undeclared:
-            name = "mystery"
-            address_prediction = False
-
-        with pytest.raises(ConfigError):
-            policy_for(Undeclared())
-
-    def test_policy_keys_cover_every_scheme_declaration(self):
-        for label in ("unsafe", "nda", "stt", "dom", "dom+vp"):
-            scheme = scheme_factory(label)
-            assert scheme.specflow_policy in POLICY_KEYS
+        assert policy_for(Undeclared()) == PolicyModel("mystery")
+        assert policy_for(Undeclared(address_prediction=True)) == PolicyModel(
+            "mystery+ap", ap_observable=True
+        )
 
 
 class TestSurvivingFacts:

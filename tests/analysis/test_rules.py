@@ -663,100 +663,3 @@ class TestRPL801NonAtomicJsonWrite:
         )
         assert rule_ids(report) == ["RPL801"]
 
-
-class TestRPL901SpecflowPolicyDeclared:
-    def test_fires_on_scheme_without_policy(self, lint_fixture):
-        report = lint_fixture(
-            "repro/schemes/fancy.py",
-            """
-            from repro.schemes.base import Scheme
-
-            class FancyScheme(Scheme):
-                name = "fancy"
-            """,
-            select=["RPL901"],
-        )
-        assert rule_ids(report) == ["RPL901"]
-
-    def test_fires_on_unknown_policy_key(self, lint_fixture):
-        report = lint_fixture(
-            "repro/schemes/fancy.py",
-            """
-            class FancyScheme:
-                name = "fancy"
-                specflow_policy = "retpoline"
-            """,
-            select=["RPL901"],
-        )
-        assert rule_ids(report) == ["RPL901"]
-
-    def test_fires_on_non_literal_policy(self, lint_fixture):
-        report = lint_fixture(
-            "repro/schemes/fancy.py",
-            """
-            KEY = "nda"
-
-            class FancyScheme:
-                name = "fancy"
-                specflow_policy = KEY
-            """,
-            select=["RPL901"],
-        )
-        assert rule_ids(report) == ["RPL901"]
-
-    def test_clean_with_declared_policy(self, lint_fixture):
-        report = lint_fixture(
-            "repro/schemes/fancy.py",
-            """
-            class FancyScheme:
-                name = "fancy"
-                specflow_policy = "nda"
-            """,
-            select=["RPL901"],
-        )
-        assert report.ok
-
-    def test_clean_with_explicit_opt_out(self, lint_fixture):
-        report = lint_fixture(
-            "repro/schemes/fancy.py",
-            """
-            class FancyScheme:
-                name = "fancy"
-                specflow_opt_out = True
-            """,
-            select=["RPL901"],
-        )
-        assert report.ok
-
-    def test_clean_outside_scheme_scopes(self, lint_fixture):
-        report = lint_fixture(
-            "repro/harness/jobs.py",
-            """
-            class Job:
-                name = "sweep"
-            """,
-            select=["RPL901"],
-        )
-        assert report.ok
-
-    def test_variants_module_is_in_scope(self, lint_fixture):
-        report = lint_fixture(
-            "repro/attacks/variants.py",
-            """
-            class WeakDoM:
-                name = "dom-weak"
-            """,
-            select=["RPL901"],
-        )
-        assert rule_ids(report) == ["RPL901"]
-
-    def test_non_scheme_class_in_scope_is_ignored(self, lint_fixture):
-        report = lint_fixture(
-            "repro/schemes/helpers.py",
-            """
-            class ShadowBookkeeping:
-                capacity = 32
-            """,
-            select=["RPL901"],
-        )
-        assert report.ok

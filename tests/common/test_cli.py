@@ -125,6 +125,19 @@ class TestSweep:
         assert main(["sweep", "--benchmarks", "doesnotexist"]) == 1
         assert "unknown benchmark" in capsys.readouterr().err
 
+    def test_sweep_drops_an_empty_scheme_entry(self, capsys):
+        assert main(["sweep", "--benchmarks", "hmmer", "--schemes", "unsafe,",
+                     "--jobs", "1", "--warmup", "300", "--measure", "800"]) == 0
+        assert "1 simulated" in capsys.readouterr().out
+
+    def test_sweep_spellings_of_one_label_are_one_run(self, capsys):
+        assert main(["sweep", "--benchmarks", "hmmer",
+                     "--schemes", "DOM+AP,dom+ap", "--jobs", "1",
+                     "--warmup", "300", "--measure", "800"]) == 0
+        out = capsys.readouterr().out
+        assert "1 simulated" in out
+        assert "DOM+AP" not in out
+
 
 class TestFuzz:
     FAST = ["--matrix", "schemes", "--schemes", "unsafe,dom+ap",

@@ -10,8 +10,9 @@ leave every one of them the same.
 
 * Per corpus label, in corpus order: the class built, its
   ``address_prediction``, ``describe()``, the seven fast-path flags,
-  ``uses_value_prediction``, ``dl_miss_release_at_nonspec``,
-  ``specflow_policy`` and the :class:`PolicyModel` the label resolves to.
+  ``uses_value_prediction``, ``dl_miss_release_at_nonspec`` and the
+  :class:`PolicyModel` the label resolves to, which is built from the
+  leakage-model facts the class declares.
 * The stdout of ``repro list`` and ``repro attack``, and the scheme
   column of ``repro doctor``'s table, in row order.
 
@@ -47,7 +48,6 @@ ATTRIBUTES = (
     "needs_shadows",
     "uses_value_prediction",
     "dl_miss_release_at_nonspec",
-    "specflow_policy",
 )
 
 #: ``repro doctor`` with every smoke but the per-scheme one switched off.
