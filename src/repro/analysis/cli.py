@@ -1,7 +1,8 @@
 """The ``repro lint`` subcommand implementation.
 
-Kept separate from :mod:`repro.cli` so the top-level parser stays cheap
-to import and the lint machinery loads only when asked for.
+:mod:`repro.cli` declares the subcommand's options and imports this
+module only to run it, so that parsing any command line loads no lint
+machinery.
 
 Exit codes: 0 clean (after baseline + suppressions), 1 findings,
 2 usage error (unknown rule id, missing path, unreadable baseline).
@@ -20,45 +21,6 @@ from repro.common.errors import LintError, LintUsageError
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach ``repro lint``'s arguments to a subcommand parser."""
-    parser.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: the installed repro "
-             "package)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is the CI artifact form)",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON of grandfathered findings (default: the "
-             "packaged src/repro/analysis/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore every baseline (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--select", default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore", default=None,
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings (existing "
-             "justifications are kept; new entries get a TODO marker)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:

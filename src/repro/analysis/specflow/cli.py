@@ -1,7 +1,8 @@
 """The ``repro specflow`` subcommand implementation.
 
-Kept separate from :mod:`repro.cli` so the top-level parser stays cheap
-to import (mirrors :mod:`repro.analysis.cli` for ``repro lint``).
+:mod:`repro.cli` declares the subcommand's options and imports this
+module only to run it (as for ``repro lint``), so that parsing any
+command line loads no analyzer.
 
 Exit codes (same contract as ``repro lint``): 0 — every analyzed cell
 agrees (statically and, unless ``--static-only``, with the dynamic
@@ -16,53 +17,11 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from repro.cli import scheme_labels
 from repro.common.errors import ConfigError, SpecflowUsageError
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-
-
-def add_specflow_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach ``repro specflow``'s arguments to a subcommand parser."""
-    parser.add_argument(
-        "--gadget", action="append", default=None, metavar="NAME",
-        help="corpus gadget to analyze (repeatable; default: the whole "
-             "attack corpus; see --list-gadgets)",
-    )
-    parser.add_argument(
-        "--schemes", default=None, type=scheme_labels,
-        help="comma-separated scheme labels (default: the full corpus "
-             "matrix, e.g. unsafe,nda,...,dom+ap,dom-insecure-branches+ap)",
-    )
-    parser.add_argument(
-        "--fuzz-seeds", type=int, default=10, metavar="N",
-        help="generated secret-gadget cases to cross-check (default 10; "
-             "0 disables the fuzz portion)",
-    )
-    parser.add_argument(
-        "--seed-start", type=int, default=0, metavar="S",
-        help="first fuzz seed (cases use seeds S..S+N-1)",
-    )
-    parser.add_argument(
-        "--static-only", action="store_true",
-        help="skip every simulator run: report static verdicts and check "
-             "only the pinned static expectations",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is the CI artifact form)",
-    )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="additionally write the JSON report to PATH (written on "
-             "failure too — the CI disagreement artifact)",
-    )
-    parser.add_argument(
-        "--list-gadgets", action="store_true",
-        help="print the corpus gadget names and exit",
-    )
 
 
 def _check_schemes(

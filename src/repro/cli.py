@@ -7,10 +7,8 @@ Subcommands:
 * ``sweep`` — run a (benchmark × scheme) grid over a worker pool, with an
   optional persistent on-disk result cache (``--jobs`` / ``--cache-dir``).
 * ``figures`` — regenerate the paper's figures (Figure 1/6/7/8 + ablation).
-* ``bench`` — perf baseline: time the event-driven scheduler on the
-  figure6 sweep, verify bit-identical stats against one run of the
-  per-cycle reference loop per pair, and write/compare
-  ``BENCH_figure6.json``.
+* ``profile`` — per-stage wall shares (or a cProfile view) of the core
+  over the figure6 grid (``--quick`` for a CI-sized cut of it).
 * ``attack`` — run the Spectre v1 gadget against every configuration.
 * ``trace`` — run with the pipeline tracer and print an instruction
   timeline (Konata-style, in text).
@@ -24,6 +22,14 @@ Subcommands:
   corpus and fuzz-generated secret gadgets, cross-checked against the
   dynamic noninterference oracle (static ``safe`` must be dynamically
   clean).
+* ``fuzz`` — differential fuzzing of seeded random programs against the
+  reference interpreter.
+* ``lint`` — reprolint static analysis of the simulator's invariants.
+
+``lint`` and ``specflow`` attach their options here, so that parsing a
+command line loads no analyzer; their implementations
+(:mod:`repro.analysis.cli`, :mod:`repro.analysis.specflow.cli`) load at
+dispatch.
 
 ``run`` and ``sweep`` accept ``--guardrails {off,cheap,full}`` to arm the
 microarchitectural invariant checker (``--dump-dir`` adds crash dumps);
@@ -145,44 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persistent result cache directory shared across invocations",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="time the event-driven core on the figure6 sweep, verifying "
-             "bit-identical stats against the per-cycle reference loop",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized cut of the grid instead of the full figure6 sweep",
-    )
-    bench.add_argument(
-        "--output", default=None,
-        help=f"write/merge the JSON baseline here (default "
-             f"{'BENCH_figure6.json'} when not comparing)",
-    )
-    bench.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="compare against a checked-in baseline instead of writing; "
-             "prints warnings on sim-IPS regressions",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=None,
-        help="regression threshold as a fraction of aggregate sim-IPS "
-             "(default 0.20; per-pair bar is twice this)",
-    )
-    bench.add_argument(
-        "--samples", type=int, default=None,
-        help="timing samples per pair; the recorded wall is the best "
-             "(default 3)",
-    )
-    bench.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="with --compare: exit 1 when any regression warning fires "
-             "(the CI perf gate)",
-    )
-
     prof = sub.add_parser(
         "profile",
-        help="profile the simulator over the bench grid: per-stage wall "
+        help="profile the core over the figure6 grid: per-stage wall "
              "shares (default) or cProfile (--cprofile)",
     )
     prof.add_argument(
@@ -359,8 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reprolint: static analysis of simulator invariants "
              "(exit 0 clean, 1 findings, 2 usage error)",
     )
-    from repro.analysis.cli import add_lint_arguments
-
     add_lint_arguments(lint)
 
     specflow = sub.add_parser(
@@ -370,8 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "and fuzz-generated gadgets (exit 0 agree, 1 disagreements, "
              "2 usage error)",
     )
-    from repro.analysis.specflow.cli import add_specflow_arguments
-
     add_specflow_arguments(specflow)
     return parser
 
@@ -385,6 +352,86 @@ def _add_guardrail_args(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--dump-dir", default=None,
         help="directory for crash dumps on invariant/watchdog failures",
+    )
+
+
+def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach ``repro lint``'s arguments to a subcommand parser."""
+    parser.add_argument(
+        "paths", nargs="*",
+        help="files/directories to lint (default: the installed repro "
+             "package)",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="report format (json is the CI artifact form)",
+    )
+    parser.add_argument(
+        "--baseline", default=None,
+        help="baseline JSON of grandfathered findings (default: the "
+             "packaged src/repro/analysis/baseline.json)",
+    )
+    parser.add_argument(
+        "--no-baseline", action="store_true",
+        help="ignore every baseline (report grandfathered findings too)",
+    )
+    parser.add_argument(
+        "--select", default=None,
+        help="comma-separated rule ids to run (default: all)",
+    )
+    parser.add_argument(
+        "--ignore", default=None,
+        help="comma-separated rule ids to skip",
+    )
+    parser.add_argument(
+        "--update-baseline", action="store_true",
+        help="rewrite the baseline from the current findings (existing "
+             "justifications are kept; new entries get a TODO marker)",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="print the rule catalogue and exit",
+    )
+
+
+def add_specflow_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach ``repro specflow``'s arguments to a subcommand parser."""
+    parser.add_argument(
+        "--gadget", action="append", default=None, metavar="NAME",
+        help="corpus gadget to analyze (repeatable; default: the whole "
+             "attack corpus; see --list-gadgets)",
+    )
+    parser.add_argument(
+        "--schemes", default=None, type=scheme_labels,
+        help="comma-separated scheme labels (default: the full corpus "
+             "matrix, e.g. unsafe,nda,...,dom+ap,dom-insecure-branches+ap)",
+    )
+    parser.add_argument(
+        "--fuzz-seeds", type=int, default=10, metavar="N",
+        help="generated secret-gadget cases to cross-check (default 10; "
+             "0 disables the fuzz portion)",
+    )
+    parser.add_argument(
+        "--seed-start", type=int, default=0, metavar="S",
+        help="first fuzz seed (cases use seeds S..S+N-1)",
+    )
+    parser.add_argument(
+        "--static-only", action="store_true",
+        help="skip every simulator run: report static verdicts and check "
+             "only the pinned static expectations",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="report format (json is the CI artifact form)",
+    )
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="additionally write the JSON report to PATH (written on "
+             "failure too — the CI disagreement artifact)",
+    )
+    parser.add_argument(
+        "--list-gadgets", action="store_true",
+        help="print the corpus gadget names and exit",
     )
 
 
@@ -544,54 +591,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         f"({counters['simulated']} simulated, {counters['disk_hits']} from disk, "
         f"{counters['skipped']} skipped)"
     )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.perfbench import (
-        DEFAULT_BASELINE,
-        DEFAULT_REGRESSION_THRESHOLD,
-        DEFAULT_SAMPLES,
-        compare_baselines,
-        load_baseline,
-        run_bench,
-        write_baseline,
-    )
-
-    profile = "quick" if args.quick else "full"
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-    print(f"benchmarking the {profile} profile (event-driven loop, best "
-          f"of {samples} samples; stats verified bit-identical against "
-          f"the per-cycle reference loop per pair)")
-    print(f"{'benchmark':<14}{'scheme':<9}{'sim-IPS':>10}{'cyc/step':>10}")
-    fragment = run_bench(profile, progress=print, samples=samples)
-    totals = fragment["totals"]
-    print(
-        f"\n{totals['pairs']} pairs: {totals['sim_ips']:.0f} aggregate "
-        f"sim-IPS, {totals['cycles_per_step']:.1f} cycles/step "
-        f"({totals['wall_event']:.1f}s)"
-    )
-    if args.compare is not None:
-        threshold = (
-            DEFAULT_REGRESSION_THRESHOLD
-            if args.threshold is None else args.threshold
-        )
-        warnings = compare_baselines(
-            fragment, load_baseline(args.compare), threshold
-        )
-        for warning in warnings:
-            print(f"warning: {warning}")
-        if not warnings:
-            print(f"no regressions beyond {threshold:.0%} vs {args.compare}")
-        if args.output is not None:
-            write_baseline(args.output, fragment)
-            print(f"baseline written to {args.output}")
-        if warnings and args.fail_on_regression:
-            return 1
-        return 0
-    output = args.output if args.output is not None else DEFAULT_BASELINE
-    write_baseline(output, fragment)
-    print(f"baseline written to {output}")
     return 0
 
 
@@ -853,8 +852,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return _cmd_sweep(args)
         if args.command == "figures":
             return _cmd_figures(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "profile":
             return _cmd_profile(args)
         if args.command == "attack":

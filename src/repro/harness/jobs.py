@@ -170,12 +170,8 @@ class JobEngine:
         Re-runs granted to each *transient* failure.
     retry_backoff:
         Base delay before each retry wave; waves follow the seeded
-        jittered-exponential :func:`backoff_schedule` capped at
-        ``backoff_cap``.
-    backoff_cap:
-        Ceiling on the per-wave exponential delay (before jitter).
-    backoff_seed:
-        Seed for the jitter draw, so a campaign's schedule replays.
+        jittered-exponential :func:`backoff_schedule` at its default cap
+        and seed, so a campaign's schedule replays.
     mp_context:
         ``multiprocessing`` start method; ``None`` is the platform default.
     describe:
@@ -199,8 +195,6 @@ class JobEngine:
         job_timeout: Optional[float] = None,
         retries: int = 1,
         retry_backoff: float = 0.5,
-        backoff_cap: float = 30.0,
-        backoff_seed: int = 0,
         mp_context: Optional[str] = None,
         describe: Callable[[Any], Dict[str, Any]] = _no_fields,
         chaos: Optional[Any] = None,
@@ -210,9 +204,7 @@ class JobEngine:
         self.job_timeout = job_timeout
         self.retries = max(0, retries)
         self.retry_backoff = max(0.0, retry_backoff)
-        self.backoff = backoff_schedule(
-            self.retries, self.retry_backoff, backoff_cap, backoff_seed
-        )
+        self.backoff = backoff_schedule(self.retries, self.retry_backoff)
         self.mp_context = mp_context
         self.describe = describe
         self.chaos = chaos

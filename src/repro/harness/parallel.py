@@ -396,9 +396,12 @@ class ParallelSession(Campaign):
             cold: List[Tuple[RunKey, SweepJob]] = []
             seen = set()
             for key, (benchmark, scheme) in zip(keys, pairs):
+                if key in seen:
+                    # The copy resolves with the first from the memo.
+                    self.memo_hits += 1
+                    continue
                 if (
-                    key in seen
-                    or self._known_failure(key) is not None
+                    self._known_failure(key) is not None
                     or self._lookup(key) is not None
                 ):
                     continue

@@ -1,7 +1,8 @@
 """Profiling layer for the simulator: ``repro profile``.
 
 Two complementary views of where simulation time goes, both measured over
-the same (benchmark × scheme) grid the perf baseline uses:
+one (benchmark × scheme) grid: ``full`` (every stand-in under the unsafe
+baseline and the Figure 6 schemes) or ``quick`` (the CI-sized cut):
 
 * **Stage accounting** (default) — wall-clock per pipeline phase
   (`_writeback`, `_commit`, `_issue`, `_dispatch`, ...), measured by a
@@ -27,21 +28,19 @@ from __future__ import annotations
 import cProfile
 import io
 import json
+import platform
 import pstats
 import time
-from typing import Callable, Dict, List
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
+from repro.common.config import default_config
 from repro.common.io import atomic_write_text
-from repro.harness.perfbench import (
-    BenchProfile,
-    bench_profiles,
-    build_workload,
-    default_config,
-    environment_fingerprint,
-    make_scheme,
-)
+from repro.harness.runner import BASELINE_SCHEME, FIGURE_SCHEMES
 from repro.pipeline.core import Core
 from repro.pipeline.hooks import CoreObserver
+from repro.schemes import make_scheme
+from repro.workloads.profiles import benchmark_names, build_workload
 
 #: The pipeline phases the scheduling loop visits, in loop order: the
 #: names of the methods ``Core._loop`` passes through its observer's
@@ -58,6 +57,41 @@ STAGE_METHODS = (
 )
 
 PROFILE_FORMAT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class BenchProfile:
+    """One profiled grid: which pairs to run, for how many instructions."""
+
+    benchmarks: Tuple[str, ...]
+    schemes: Tuple[str, ...]
+    instructions: int
+
+
+def bench_profiles() -> Dict[str, BenchProfile]:
+    """The two grids: the full figure6 grid and a CI-sized cut."""
+    return {
+        "full": BenchProfile(
+            benchmarks=benchmark_names("all"),
+            schemes=(BASELINE_SCHEME,) + FIGURE_SCHEMES,
+            instructions=2_500,
+        ),
+        "quick": BenchProfile(
+            benchmarks=("mcf", "hmmer", "lbm", "gcc", "libquantum", "omnetpp"),
+            schemes=(BASELINE_SCHEME, "stt", "dom+ap"),
+            instructions=1_500,
+        ),
+    }
+
+
+def environment_fingerprint() -> Dict[str, object]:
+    """The interpreter and machine a report was measured on."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+    }
 
 
 class StageAccounting(CoreObserver):
@@ -101,7 +135,7 @@ def _grid(profile: BenchProfile) -> List[tuple]:
 
 
 def profile_stages(profile_name: str = "full") -> Dict[str, object]:
-    """Run the bench grid once (event mode) under stage accounting.
+    """Run the grid once (event mode) under stage accounting.
 
     Returns a plain-data report: per-stage aggregate seconds/calls/share,
     per-pair wall and instruction counts, and the environment block, all
@@ -170,10 +204,10 @@ def profile_stages(profile_name: str = "full") -> Dict[str, object]:
 
 
 def profile_cprofile(profile_name: str = "full", top: int = 25) -> Dict[str, object]:
-    """Run the bench grid once (event mode) under cProfile.
+    """Run the grid once (event mode) under cProfile.
 
-    Workload/core construction happens outside the profiled region so the
-    output reflects the same timed region as ``repro bench``.
+    Workload/core construction happens outside the profiled region, so
+    the output covers only ``Core.run``, the region the stage view times.
     """
     profile = bench_profiles()[profile_name]
     jobs = []

@@ -12,6 +12,34 @@ import repro
 from repro.cli import main
 
 
+def source_env():
+    """This environment with the tested package's source first on
+    PYTHONPATH, for a child interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    return env
+
+
+class TestParser:
+    def test_building_the_parser_loads_no_analyzer(self):
+        """Every invocation builds the whole parser, so the lint and
+        specflow options are declared in repro.cli itself; the analyzer
+        packages load only when one of those subcommands runs."""
+        code = (
+            "import sys, repro.cli; repro.cli._build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis')))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=source_env(),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert loaded.strip() == "[]"
+
+
 class TestList:
     def test_lists_schemes_and_benchmarks(self, capsys):
         assert main(["list"]) == 0
@@ -66,17 +94,12 @@ class TestTrace:
         """``repro trace ... | head``: the timeline (about 200 KB) outgrows
         the pipe buffer, so the writes after the reader closes fail with
         EPIPE; the CLI exits 1 with no traceback on stderr."""
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            path for path in (src, env.get("PYTHONPATH")) if path
-        )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "trace", "hmmer",
              "--scheme", "dom+ap", "--instructions", "3000", "--window", "2000"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=source_env(),
         )
         try:
             first = process.stdout.readline()
@@ -135,7 +158,8 @@ class TestSweep:
                      "--schemes", "DOM+AP,dom+ap", "--jobs", "1",
                      "--warmup", "300", "--measure", "800"]) == 0
         out = capsys.readouterr().out
-        assert "1 simulated" in out
+        assert ("2 results with 1 jobs: 1 simulated, 0 from disk cache, "
+                "1 memoized") in out
         assert "DOM+AP" not in out
 
 

@@ -62,18 +62,6 @@ class TestEngineUsesSchedule:
         )
         assert engine.backoff == backoff_schedule(3, 0.5)
 
-    def test_engine_respects_cap_and_seed(self):
-        engine = JobEngine(
-            worker=_noop_worker,
-            jobs=1,
-            retries=4,
-            retry_backoff=1.0,
-            backoff_cap=2.0,
-            backoff_seed=7,
-        )
-        assert engine.backoff == backoff_schedule(4, 1.0, cap=2.0, seed=7)
-        assert max(engine.backoff) <= 2.0
-
 
 def _noop_worker(job):
     return {"ok": True, "value": job}

@@ -153,6 +153,16 @@ class TestDiskCache:
         assert session.simulated == 1
         assert session.memo_hits == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_pair_listed_twice_is_one_simulation_and_one_memo_hit(self, jobs):
+        session = ParallelSession(warmup=200, measure=500, jobs=jobs)
+        results = session.sweep(("hmmer",), ("dom+ap", "dom+ap"))
+        assert results[0] is results[1]
+        counters = session.counters()
+        # simulated + from disk + memoized adds up to the 2 results.
+        assert (counters["simulated"], counters["disk_hits"],
+                counters["memo_hits"]) == (1, 0, 1)
+
 
 class TestJobSpec:
     def test_job_is_picklable(self):

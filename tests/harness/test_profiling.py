@@ -1,5 +1,4 @@
-"""Tests for the profiling layer (``repro profile``) and best-of-N
-timing in the perf bench.
+"""Tests for the profiling layer (``repro profile``).
 
 The profiling layer is the instrument the busy-path optimization pass
 is steered by, so its own contracts need pinning: the stage observer
@@ -13,27 +12,32 @@ import json
 
 import pytest
 
-from repro.common.errors import ReproError
-from repro.harness import profiling
-from repro.harness.perfbench import (
-    DEFAULT_SAMPLES,
-    bench_pair,
-    environment_fingerprint,
-    run_bench,
-)
 from repro.harness.profiling import (
     PROFILE_FORMAT_VERSION,
     STAGE_METHODS,
     StageAccounting,
+    bench_profiles,
     profile_cprofile,
     profile_stages,
     render_stage_report,
     write_report,
 )
+from repro.harness.runner import BASELINE_SCHEME, FIGURE_SCHEMES
 from repro.pipeline.core import Core
 from repro.schemes import make_scheme
+from repro.workloads.profiles import benchmark_names
 
 from tests.conftest import counting_loop
+
+
+class TestGrids:
+    def test_full_is_the_figure6_grid_and_quick_a_cut_of_it(self):
+        grids = bench_profiles()
+        full, quick = grids["full"], grids["quick"]
+        assert full.benchmarks == benchmark_names("all")
+        assert set(full.schemes) == {BASELINE_SCHEME, *FIGURE_SCHEMES}
+        assert set(quick.benchmarks) < set(full.benchmarks)
+        assert set(quick.schemes) < set(full.schemes)
 
 
 class TestStageAccounting:
@@ -65,6 +69,9 @@ class TestStageReport:
         assert report["profile"] == "quick"
         assert {row["stage"] for row in report["stages"]} == set(STAGE_METHODS)
         assert report["totals"]["pairs"] == len(report["pairs"])
+        assert set(report["environment"]) == {
+            "python", "implementation", "machine", "system",
+        }
 
     def test_attributes_real_wall_time(self, report):
         totals = report["totals"]
@@ -96,20 +103,3 @@ class TestCProfileMode:
         times = [row["tottime"] for row in report["top"]]
         assert times == sorted(times, reverse=True)
         assert "function calls" in report["text"]
-
-
-class TestBestOfN:
-    def test_zero_samples_rejected(self):
-        with pytest.raises(ReproError):
-            bench_pair("hmmer", "unsafe", 200, samples=0)
-
-    def test_samples_recorded_in_fragment_and_environment(self):
-        fragment = run_bench("quick", samples=1)
-        assert fragment["timing_samples"] == 1
-        assert environment_fingerprint(samples=5)["timing_samples"] == 5
-        assert environment_fingerprint()["timing_samples"] == DEFAULT_SAMPLES
-
-    def test_single_sample_pair_still_verified(self):
-        record = bench_pair("hmmer", "unsafe", 200, samples=1)
-        assert record.instructions > 0
-        assert record.wall_event > 0
