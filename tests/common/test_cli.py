@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 def source_env():
@@ -38,6 +39,33 @@ class TestParser:
             capture_output=True, text=True, check=True,
         ).stdout
         assert loaded.strip() == "[]"
+
+    @pytest.mark.parametrize("command, options", [
+        ("lint", ["paths", "--format", "--baseline", "--no-baseline",
+                  "--select", "--ignore", "--update-baseline",
+                  "--list-rules"]),
+        ("specflow", ["--gadget", "--schemes", "--fuzz-seeds", "--seed-start",
+                      "--static-only", "--format", "--json",
+                      "--list-gadgets"]),
+    ])
+    def test_analyzer_subcommands_keep_their_options(self, command, options):
+        """The options moved into repro.cli; each subcommand declares the
+        same ones, in the same order, as its analyzer's module did."""
+        subcommands = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        declared = [
+            action.option_strings[-1] if action.option_strings else action.dest
+            for action in subcommands.choices[command]._actions
+        ]
+        assert declared == ["--help", *options]
+
+    def test_bench_is_an_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestList:

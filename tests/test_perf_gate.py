@@ -97,16 +97,19 @@ FAKE_E2EBENCH = """\
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 with open({log!r}, "a") as log:
-    log.write(f"{side} {{args['--workload']}} {{args['--seed']}}\\n")
+    log.write(f"{side} {{args['--workload']}} {{args['--seed']}} "
+              f"{{args['--seconds']}}\\n")
 print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{
     name: {{"value": {scale} * value, "unit": "u"}}
     for name, value in {figures!r}.items()}}}}))
 """
 
 
-def fake_tree(path, side, log, scale):
+def fake_tree(path, side, log, scale, run_seconds=1, bound=None):
     """A tree whose benchmark command prints a fixed result, its
-    higher-is-better figures times ``scale``, and logs each call."""
+    higher-is-better figures times ``scale``, and logs each call; its
+    ``BENCHMARK.json`` gives ``run_seconds`` and, if set, ``bound`` as
+    every metric's bound."""
     path.mkdir()
     figures = {"ops_per_s": 10.0, "sim_ips": 50_000.0}
     (path / "fake.py").write_text(
@@ -114,8 +117,9 @@ def fake_tree(path, side, log, scale):
     )
     (path / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "fake.py"],
-        "run_seconds": 1,
-        "end_to_end": [m for m in METRICS if m["name"] in figures],
+        "run_seconds": run_seconds,
+        "end_to_end": [{**m, "bound": m["bound"] if bound is None else bound}
+                       for m in METRICS if m["name"] in figures],
     }))
     return path
 
@@ -131,10 +135,43 @@ def test_pairs_share_a_seed_alternate_their_order_and_fail_a_halved_change(
     for workload in gate.WORKLOADS:
         for pair in range(gate.PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            expected += [[side, workload, str(pair + 1)] for side in order]
+            expected += [[side, workload, str(pair + 1), "1"] for side in order]
     assert calls == expected
     out = capsys.readouterr().out
     failing = [row.split()[:2] for row in out.splitlines() if row.endswith("FAIL")]
     assert failing == [[workload, metric] for workload in gate.WORKLOADS
                        for metric in ("ops_per_s", "sim_ips")]
     assert "perf gate: FAIL" in out
+
+
+def test_the_parent_tree_sets_the_bounds_and_run_seconds(tmp_path, capsys):
+    """A change cannot loosen the bar it is held to."""
+    log = tmp_path / "calls.log"
+    parent = fake_tree(tmp_path / "parent", "parent", log, 1.0)
+    change = fake_tree(tmp_path / "change", "change", log, 0.5,
+                       run_seconds=99, bound=0.9)
+    assert gate.main([str(parent), str(change)]) == 1
+    seconds = {entry.split()[3] for entry in log.read_text().splitlines()}
+    assert seconds == {"1"}
+    assert "perf gate: FAIL" in capsys.readouterr().out
+
+
+def test_a_run_that_exits_nonzero_stops_the_gate_and_names_its_tree(
+        tmp_path, capsys):
+    parent = fake_tree(tmp_path / "parent", "parent", tmp_path / "calls.log", 1.0)
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "-c", "import sys; sys.exit(3)"],
+    }))
+    assert gate.main([str(parent), str(change)]) == 1
+    assert ("perf gate: the change tree's grid-long run (seed 1) exited 3"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_the_gate_takes_exactly_two_tree_paths(tmp_path, count, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        gate.main([str(tmp_path)] * count)
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
