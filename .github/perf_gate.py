@@ -20,6 +20,14 @@ and quartiles, and exits 1 when
 * the change median of an ``end_to_end`` metric is worse than the parent
   median by more than that metric's ``bound``.
 
+Before the first pair, each tree's ``src/`` is byte-compiled once with
+the interpreter its command names.  Where ``PYTHONDONTWRITEBYTECODE`` is
+set, a module with no current ``__pycache__`` entry is otherwise
+compiled again by every fresh interpreter, and e2ebench's ``setup_s``
+times one, so a tree whose edited modules were never compiled would
+read slower for that alone.  A failed compile stops the gate and names
+the tree.
+
 Comparing medians means one outlying pair cannot fail the gate.  The
 ``run_seconds`` and the metrics with their bounds come from the parent's
 ``BENCHMARK.json``, so a change cannot loosen the bar it is held to.  A
@@ -80,6 +88,18 @@ def run_once(tree: Path, command: Sequence[str], workload: str, seed: int,
     if process.returncode != 0:
         raise GateError(f"{what} exited {process.returncode}")
     return result_of(process.stdout, what)
+
+
+def compile_tree(tree: Path, python: str, side: str) -> None:
+    """Byte-compile ``tree``'s ``src/`` with ``python``; its output goes
+    to this process's stderr."""
+    process = subprocess.run(
+        [python, "-m", "compileall", "-q", "src"],
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+    )
+    sys.stderr.write(process.stdout)
+    if process.returncode != 0:
+        raise GateError(f"compiling the {side} tree's src exited {process.returncode}")
 
 
 def failed(result: Dict) -> bool:
@@ -151,6 +171,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rows: List[str] = []
     failures: List[str] = []
     try:
+        for side, tree in trees.items():
+            compile_tree(tree, commands[side][0], side)
         for workload in WORKLOADS:
             results: Dict[str, List[Dict]] = {"parent": [], "change": []}
             for pair in range(PAIRS):

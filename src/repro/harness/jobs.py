@@ -320,6 +320,7 @@ class JobEngine:
         executor = ProcessPoolExecutor(
             max_workers=workers, mp_context=context, initializer=gc.freeze
         )
+        finished = False
         try:
             # The worker (and any chaos stage) must be module-level for
             # the pool to pickle it by qualified name.
@@ -374,6 +375,7 @@ class JobEngine:
                         index = futures[future]
                         resolve(index, self.crash_payload(items[index][1]))
                     return
+            finished = True
         except BaseException:
             # Ctrl-C (or an unexpected bug) mid-wave: results already
             # resolved are stored; kill the workers so the interpreter
@@ -381,7 +383,11 @@ class JobEngine:
             self._kill_workers(executor)
             raise
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            # A wave whose every future resolved joins its idle pool (a
+            # few ms), so no manager or queue-feeder thread still runs
+            # when the next wave or session forks; a killed, timed-out or
+            # broken pool is left to die without a wait.
+            executor.shutdown(wait=finished, cancel_futures=True)
 
     @staticmethod
     def _kill_workers(executor: ProcessPoolExecutor) -> None:

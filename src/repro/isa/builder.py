@@ -16,7 +16,7 @@ kernel generators (``repro.workloads``) and attack gadgets
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.common.errors import AssemblyError
 from repro.isa.instructions import (
@@ -73,14 +73,22 @@ class CodeBuilder:
         """Set one 8-byte word of the initial memory image."""
         self._memory[address & ~7] = value
 
-    def set_array(self, base: int, values: Mapping[int, int] | List[int]) -> None:
-        """Lay out word values starting at ``base`` (8 bytes apart)."""
-        if isinstance(values, Mapping):
-            items = values.items()
-        else:
-            items = enumerate(values)
-        for index, value in items:
-            self.set_memory(base + 8 * index, value)
+    def set_array(
+        self,
+        base: int,
+        values: List[int] | Mapping[int, int] | Iterable[Tuple[int, int]],
+    ) -> None:
+        """Lay out word values starting at ``base`` (8 bytes apart), as
+        :meth:`set_memory` on each in order would: a list from word 0 on,
+        a mapping or ``(index, value)`` pairs at each index's word.
+        ``(base + 8 * i) & ~7`` is ``(base & ~7) + 8 * i``, so one
+        aligned start serves every word."""
+        start = base & ~7
+        if isinstance(values, list):
+            self._memory.update(zip(range(start, start + 8 * len(values), 8), values))
+            return
+        pairs = values.items() if isinstance(values, Mapping) else values
+        self._memory.update((start + 8 * index, value) for index, value in pairs)
 
     def set_register(self, reg: int, value: int) -> None:
         self._registers[reg] = value
@@ -248,12 +256,13 @@ class CodeBuilder:
                     f"{name}: initial value for register r{reg} out of "
                     f"range (0..{NUM_REGISTERS - 1})"
                 )
-        for address in self._memory:
-            if not 0 <= address < (1 << 64):
-                raise AssemblyError(
-                    f"{name}: initial memory address {address:#x} outside "
-                    "the 64-bit address space"
-                )
+        memory = self._memory
+        if memory and not (min(memory) >= 0 and max(memory) < 1 << 64):
+            address = next(a for a in memory if not 0 <= a < 1 << 64)
+            raise AssemblyError(
+                f"{name}: initial memory address {address:#x} outside "
+                "the 64-bit address space"
+            )
 
 
 def _require(value: Optional[int], what: str) -> Optional[str]:

@@ -8,7 +8,9 @@ simple in-order interpreter produces.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
@@ -72,10 +74,15 @@ def _word_image(memory: Dict[int, int]) -> Dict[int, int]:
     """``memory`` as :meth:`ArchState.write_mem` would store it, entry by
     entry: word-aligned addresses, 64-bit-masked values, the last entry
     for a word winning.  ``memory`` itself when no entry needs aligning
-    or masking."""
-    if all(
-        addr & _WORD_ALIGN == addr and value & WORD_MASK == value
-        for addr, value in memory.items()
+    or masking; stand-in images run to half a million words, so that is
+    decided by passes that run in C, not by a Python step per entry."""
+    values = memory.values()
+    if not memory or (
+        min(memory) >= 0
+        and max(memory) <= WORD_MASK
+        and min(values) >= 0
+        and max(values) <= WORD_MASK
+        and not any(map(operator.and_, memory, repeat(WORD_SIZE - 1)))
     ):
         return memory
     return {addr & _WORD_ALIGN: value & WORD_MASK for addr, value in memory.items()}

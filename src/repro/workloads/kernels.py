@@ -23,7 +23,7 @@ accumulator, r10..r15 = array bases, r16..r25 = scratch.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Iterator, List, Tuple
 
 from repro.common.errors import ConfigError
 from repro.isa.builder import CodeBuilder
@@ -43,19 +43,88 @@ def _require_pow2(value: int, what: str) -> None:
         raise ConfigError(f"{what} must be a positive power of two, got {value}")
 
 
-def _fill_random_words(
-    builder: CodeBuilder, base: int, count: int, rng: random.Random, odd_fraction: float
-) -> None:
-    """Fill ``count`` words with values whose low bit is 1 with probability
-    ``odd_fraction`` (controls data-dependent branch entropy)."""
-    for i in range(count):
-        value = rng.randrange(1 << 16) << 1
-        if rng.random() < odd_fraction:
+# The fills below inline ``rng.randrange(n)`` as the rejection loop
+# CPython runs for it (``Random._randbelow_with_getrandbits``): draw
+# ``getrandbits(n.bit_length())`` again while the draw is ``n`` or more.
+# A build then makes the same draws, in the same order, as the per-word
+# ``randrange``/``random`` loops it replaced, without their two Python
+# frames a word; ``tests/workloads/test_kernels.py`` keeps those loops as
+# the reference.
+
+
+def _random_words(rng: random.Random, count: int, odd_fraction: float) -> List[int]:
+    """``count`` words ``randrange(1 << 16) << 1`` whose low bit is 1 when
+    a ``random()`` drawn after each is below ``odd_fraction`` (controls
+    data-dependent branch entropy)."""
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    words: List[int] = []
+    append = words.append
+    for _ in range(count):
+        value = getrandbits(17)
+        while value >= 1 << 16:
+            value = getrandbits(17)
+        value <<= 1
+        if uniform() < odd_fraction:
             value |= 1
-        builder.set_memory(base + 8 * i, value)
+        append(value)
+    return words
 
 
-_CHECK_COUNTER = [0]
+def _index_offsets(
+    rng: random.Random, count: int, words: int, regularity: float
+) -> List[int]:
+    """Byte offsets into a ``words``-word array for ``count`` index
+    entries: an entry whose ``random()`` is below ``regularity`` continues
+    a strided walk of the array, any other points at ``randrange(words)``."""
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    bits = words.bit_length()
+    offsets: List[int] = []
+    regular_step = 0
+    for _ in range(count):
+        if uniform() < regularity:
+            offsets.append((regular_step * 8) % (words * 8))
+            regular_step += 1
+        else:
+            word = getrandbits(bits)
+            while word >= words:
+                word = getrandbits(bits)
+            offsets.append(word * 8)
+    return offsets
+
+
+def _probe_keys(
+    rng: random.Random, count: int, table_words: int, period: int
+) -> List[int]:
+    """Byte offsets of ``count`` probes into a ``table_words``-word table:
+    each ``randrange(table_words)``, or with a ``period`` a fresh one only
+    every ``period``-th key and the next table word in between."""
+    getrandbits = rng.getrandbits
+    bits = table_words.bit_length()
+    keys: List[int] = []
+    probe = 0
+    for i in range(count):
+        if period and i % period != period - 1:
+            probe = (probe + 1) % table_words
+        else:
+            probe = getrandbits(bits)
+            while probe >= table_words:
+                probe = getrandbits(bits)
+        keys.append(probe * 8)
+    return keys
+
+
+def _node_words(sequence: List[int], payloads: List[int]) -> Iterator[Tuple[int, int]]:
+    """``(word index, value)`` for each node of the cycle ``sequence``, in
+    traversal order: node ``n``'s next pointer is word 2n, its payload
+    word 2n + 1.  Yielded one at a time, so a build holds no second copy
+    of the list's words beside the builder's own."""
+    for current, successor, payload in zip(
+        sequence, sequence[1:] + sequence[:1], payloads
+    ):
+        yield 2 * current, LIST_BASE + 16 * successor
+        yield 2 * current + 1, payload
 
 
 def _emit_dependent_check(builder: CodeBuilder, value_reg: int, check_period: int) -> None:
@@ -68,8 +137,7 @@ def _emit_dependent_check(builder: CodeBuilder, value_reg: int, check_period: in
     the check with an induction-based branch so only every K-th iteration
     pays the resolution chain (K a power of two).
     """
-    _CHECK_COUNTER[0] += 1
-    tag = _CHECK_COUNTER[0]
+    tag = builder.here  # labels need only be unique within one builder
     skip = f"nocheck_{tag}"
     done = f"even_{tag}"
     if check_period > 1:
@@ -115,7 +183,7 @@ def stream_kernel(
     _require_pow2(footprint_words, "footprint_words")
     rng = random.Random(seed)
     builder = CodeBuilder()
-    _fill_random_words(builder, STREAM_BASE, footprint_words, rng, odd_fraction)
+    builder.set_array(STREAM_BASE, _random_words(rng, footprint_words, odd_fraction))
     mask = footprint_words * 8 - 1
 
     builder.li(1, iterations)
@@ -163,15 +231,10 @@ def gather_kernel(
     _require_pow2(data_words, "data_words")
     rng = random.Random(seed)
     builder = CodeBuilder()
-    regular_step = 0
-    for i in range(index_words):
-        if rng.random() < index_regularity:
-            offset = (regular_step * 8) % (data_words * 8)
-            regular_step += 1
-        else:
-            offset = rng.randrange(data_words) * 8
-        builder.set_memory(INDEX_BASE + 8 * i, offset)
-    _fill_random_words(builder, DATA_BASE, data_words, rng, odd_fraction)
+    builder.set_array(
+        INDEX_BASE, _index_offsets(rng, index_words, data_words, index_regularity)
+    )
+    builder.set_array(DATA_BASE, _random_words(rng, data_words, odd_fraction))
     index_mask = index_words * 8 - 1
 
     builder.li(1, iterations)
@@ -232,15 +295,9 @@ def pointer_chase_kernel(
         rng.shuffle(values)
         for position, value in zip(positions, values):
             sequence[position] = value
-    node_stride = 16  # next pointer + payload word
-    for position, current in enumerate(sequence):
-        successor = sequence[(position + 1) % nodes]
-        address = LIST_BASE + node_stride * current
-        builder.set_memory(address, LIST_BASE + node_stride * successor)
-        value = rng.randrange(1 << 16) << 1
-        if rng.random() < odd_fraction:
-            value |= 1
-        builder.set_memory(address + 8, value)
+    builder.set_array(
+        LIST_BASE, _node_words(sequence, _random_words(rng, nodes, odd_fraction))
+    )
 
     builder.li(1, iterations)
     builder.li(2, 0)
@@ -281,7 +338,7 @@ def branchy_kernel(
     _require_pow2(footprint_words, "footprint_words")
     rng = random.Random(seed)
     builder = CodeBuilder()
-    _fill_random_words(builder, DATA_BASE, footprint_words, rng, odd_fraction)
+    builder.set_array(DATA_BASE, _random_words(rng, footprint_words, odd_fraction))
     mask = footprint_words * 8 - 1
 
     builder.li(1, iterations)
@@ -336,7 +393,7 @@ def stencil_kernel(
     _require_pow2(footprint_words, "footprint_words")
     rng = random.Random(seed)
     builder = CodeBuilder()
-    _fill_random_words(builder, STREAM_BASE, footprint_words, rng, odd_fraction)
+    builder.set_array(STREAM_BASE, _random_words(rng, footprint_words, odd_fraction))
     mask = footprint_words * 8 - 1
 
     builder.li(1, iterations)
@@ -388,18 +445,10 @@ def hash_probe_kernel(
     table_mask = table_words * 8 - 1
     # Key array: either random keys, or keys crafted so that consecutive
     # probe addresses stride for `period` accesses then break.
-    probe = 0
-    for i in range(key_words):
-        if broken_stride_period:
-            if i % broken_stride_period == broken_stride_period - 1:
-                probe = rng.randrange(table_words)
-            else:
-                probe = (probe + 1) % table_words
-            key = probe * 8
-        else:
-            key = rng.randrange(table_words) * 8
-        builder.set_memory(INDEX_BASE + 8 * i, key)
-    _fill_random_words(builder, DATA_BASE, table_words, rng, odd_fraction)
+    builder.set_array(
+        INDEX_BASE, _probe_keys(rng, key_words, table_words, broken_stride_period)
+    )
+    builder.set_array(DATA_BASE, _random_words(rng, table_words, odd_fraction))
     key_mask = key_words * 8 - 1
 
     builder.li(1, iterations)
@@ -453,15 +502,10 @@ def scatter_kernel(
     _require_pow2(table_words, "table_words")
     rng = random.Random(seed)
     builder = CodeBuilder()
-    regular_step = 0
-    for i in range(index_words):
-        if rng.random() < index_regularity:
-            offset = (regular_step * 8) % (table_words * 8)
-            regular_step += 1
-        else:
-            offset = rng.randrange(table_words) * 8
-        builder.set_memory(INDEX_BASE + 8 * i, offset)
-    _fill_random_words(builder, DATA_BASE, table_words, rng, 0.0)
+    builder.set_array(
+        INDEX_BASE, _index_offsets(rng, index_words, table_words, index_regularity)
+    )
+    builder.set_array(DATA_BASE, _random_words(rng, table_words, 0.0))
     index_mask = index_words * 8 - 1
 
     builder.li(1, iterations)

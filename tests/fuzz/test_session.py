@@ -1,6 +1,7 @@
 """Campaign plumbing: jobs, repro files, manifest, and replay."""
 
 import json
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -86,6 +87,15 @@ class TestSession:
         assert summary.clean == 2
         manifest = json.loads((tmp_path / "failure_manifest.json").read_text())
         assert manifest["failures"] == []
+
+    def test_a_pooled_campaign_leaves_no_thread_running(self, tmp_path):
+        """See ``test_a_pooled_sweep_leaves_no_thread_running``."""
+        before = threading.enumerate()
+        session = FuzzSession(
+            schemes=SMOKE_SCHEMES, matrix="schemes", jobs=2, repro_dir=tmp_path
+        )
+        assert session.run([0, 1], resolve_profiles(("default",))).ok
+        assert [t for t in threading.enumerate() if t not in before] == []
 
     def test_findings_write_repro_and_manifest(self, tmp_path):
         session = FuzzSession(

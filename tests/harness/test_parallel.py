@@ -6,6 +6,7 @@ a warm on-disk cache re-simulates nothing.
 """
 
 import pickle
+import threading
 
 import pytest
 
@@ -80,6 +81,14 @@ def test_every_start_method_matches_the_inline_sweep(inline_rows, method):
     session = ParallelSession(warmup=500, measure=1500, jobs=2, mp_context=method)
     assert sweep_rows(session) == inline_rows
     assert session.simulated == len(inline_rows)
+
+
+def test_a_pooled_sweep_leaves_no_thread_running():
+    """A wave whose jobs all resolved joins its pool, so the next wave or
+    session forks a parent that runs no pool manager or queue feeder."""
+    before = threading.enumerate()
+    ParallelSession(warmup=100, measure=300, jobs=2).sweep(("hmmer",), ("unsafe", "dom"))
+    assert [thread for thread in threading.enumerate() if thread not in before] == []
 
 
 class TestDiskCache:

@@ -153,6 +153,18 @@ class TestBuildValidation:
         with pytest.raises(AssemblyError, match="64-bit address space"):
             b.build()
 
+    @pytest.mark.parametrize("bad", [-8, 1 << 64])
+    def test_memory_init_names_the_first_address_outside(self, bad):
+        b = CodeBuilder()
+        for address in (0x10, bad, 0x20, (1 << 64) + 8, -16):
+            b.set_memory(address, 1)
+        b.halt()
+        with pytest.raises(AssemblyError) as excinfo:
+            b.build(name="edges")
+        assert str(excinfo.value) == (
+            f"edges: initial memory address {bad:#x} outside the 64-bit address space"
+        )
+
     def test_oversized_li_immediate_rejected(self):
         b = CodeBuilder()
         b.li(1, 1 << 64)
@@ -191,3 +203,47 @@ class TestInitialState:
         core = Core(program, make_scheme("unsafe"))
         core.run()
         assert core.arch.read_mem(8) == 42
+
+
+class TestSetArray:
+    """``set_array`` against one ``set_memory`` per value, in order."""
+
+    @staticmethod
+    def image(fill):
+        b = CodeBuilder()
+        b.set_memory(0x2008, 99)   # overwritten below: keeps its position
+        b.set_memory(0x9000, 1)
+        fill(b)
+        b.halt()
+        return list(b.build().initial_memory.items())
+
+    @pytest.mark.parametrize("base", [0x2000, 0x2003, 0x1FFF])
+    def test_a_list_lands_where_set_memory_puts_it(self, base):
+        values = [5, 6, 7, 8]
+
+        def one_by_one(b):
+            for index, value in enumerate(values):
+                b.set_memory(base + 8 * index, value)
+
+        assert self.image(lambda b: b.set_array(base, values)) == self.image(
+            one_by_one
+        )
+
+    @pytest.mark.parametrize("base", [0x2000, 0x2005])
+    @pytest.mark.parametrize("form", [dict, iter], ids=["mapping", "pairs"])
+    def test_indexed_values_land_at_their_words(self, base, form):
+        """An index given twice keeps its first position and last value."""
+        pairs = [(3, 30), (0, 0), (1, 10), (7, 70), (3, 33)]
+
+        def one_by_one(b):
+            for index, value in pairs:
+                b.set_memory(base + 8 * index, value)
+
+        assert self.image(lambda b: b.set_array(base, form(pairs))) == self.image(
+            one_by_one
+        )
+
+    def test_an_empty_list_writes_nothing(self):
+        assert self.image(lambda b: b.set_array(0x2003, [])) == [
+            (0x2008, 99), (0x9000, 1)
+        ]

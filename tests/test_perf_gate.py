@@ -94,11 +94,14 @@ def test_a_run_without_a_result_line_stops_the_gate():
 
 
 FAKE_E2EBENCH = """\
-import json, sys
+import glob, json, sys
+from pathlib import Path
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+compiled = sorted(Path(path).parts[-4]
+                  for path in glob.glob("../*/src/__pycache__/module.*.pyc"))
 with open({log!r}, "a") as log:
     log.write(f"{side} {{args['--workload']}} {{args['--seed']}} "
-              f"{{args['--seconds']}}\\n")
+              f"{{args['--seconds']}} {{','.join(compiled) or '-'}}\\n")
 print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{
     name: {{"value": {scale} * value, "unit": "u"}}
     for name, value in {figures!r}.items()}}}}))
@@ -107,10 +110,13 @@ print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{
 
 def fake_tree(path, side, log, scale, run_seconds=1, bound=None):
     """A tree whose benchmark command prints a fixed result, its
-    higher-is-better figures times ``scale``, and logs each call; its
-    ``BENCHMARK.json`` gives ``run_seconds`` and, if set, ``bound`` as
-    every metric's bound."""
+    higher-is-better figures times ``scale``, and logs each call with
+    the sibling trees whose ``src/module.py`` is byte-compiled by then;
+    its ``BENCHMARK.json`` gives ``run_seconds`` and, if set, ``bound``
+    as every metric's bound."""
     path.mkdir()
+    (path / "src").mkdir()
+    (path / "src" / "module.py").write_text("VALUE = 1\n")
     figures = {"ops_per_s": 10.0, "sim_ips": 50_000.0}
     (path / "fake.py").write_text(
         FAKE_E2EBENCH.format(log=str(log), side=side, scale=scale, figures=figures)
@@ -135,13 +141,26 @@ def test_pairs_share_a_seed_alternate_their_order_and_fail_a_halved_change(
     for workload in gate.WORKLOADS:
         for pair in range(gate.PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            expected += [[side, workload, str(pair + 1), "1"] for side in order]
+            expected += [[side, workload, str(pair + 1), "1", "change,parent"]
+                         for side in order]
     assert calls == expected
     out = capsys.readouterr().out
     failing = [row.split()[:2] for row in out.splitlines() if row.endswith("FAIL")]
     assert failing == [[workload, metric] for workload in gate.WORKLOADS
                        for metric in ("ops_per_s", "sim_ips")]
     assert "perf gate: FAIL" in out
+
+
+def test_a_tree_that_does_not_compile_stops_the_gate_before_any_run(
+        tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    parent = fake_tree(tmp_path / "parent", "parent", log, 1.0)
+    change = fake_tree(tmp_path / "change", "change", log, 1.0)
+    (change / "src" / "broken.py").write_text("VALUE = (\n")
+    assert gate.main([str(parent), str(change)]) == 1
+    assert ("perf gate: compiling the change tree's src exited 1"
+            in capsys.readouterr().err)
+    assert not log.exists()
 
 
 def test_the_parent_tree_sets_the_bounds_and_run_seconds(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Tests for the workload kernel generators."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.isa.builder import CodeBuilder
 from repro.pipeline.core import Core
 from repro.schemes import make_scheme
+from repro.workloads import kernels
 from repro.workloads.kernels import (
     KERNELS,
+    LIST_BASE,
     branchy_kernel,
     build_kernel,
     gather_kernel,
@@ -183,3 +188,124 @@ class TestScatterKernel:
         _, noisy_stats = run_briefly(noisy, "unsafe", 5000)
         _, quiet_stats = run_briefly(quiet, "unsafe", 5000)
         assert quiet_stats.squashed_instructions <= noisy_stats.squashed_instructions
+
+
+# ----------------------------------------------------------------------
+# The fills against the per-word loops they replaced
+# ----------------------------------------------------------------------
+# Each reference below is the earlier kernel code: one library
+# ``randrange`` and ``random`` call per word.  The fills must draw the
+# same values and leave the generator in the same state, or a stand-in
+# would change and every later draw from its generator with it.
+
+
+def reference_words(rng, count, odd_fraction):
+    words = []
+    for _ in range(count):
+        value = rng.randrange(1 << 16) << 1
+        if rng.random() < odd_fraction:
+            value |= 1
+        words.append(value)
+    return words
+
+
+def reference_offsets(rng, count, words, regularity):
+    offsets = []
+    regular_step = 0
+    for _ in range(count):
+        if rng.random() < regularity:
+            offsets.append((regular_step * 8) % (words * 8))
+            regular_step += 1
+        else:
+            offsets.append(rng.randrange(words) * 8)
+    return offsets
+
+
+def reference_keys(rng, count, table_words, period):
+    keys = []
+    probe = 0
+    for i in range(count):
+        if period:
+            if i % period == period - 1:
+                probe = rng.randrange(table_words)
+            else:
+                probe = (probe + 1) % table_words
+            keys.append(probe * 8)
+        else:
+            keys.append(rng.randrange(table_words) * 8)
+    return keys
+
+
+SEEDS = (0, 7, 103)
+COUNTS = (0, 1, 999)
+
+
+def assert_same_draws(fill, reference, *args):
+    for seed in SEEDS:
+        for count in COUNTS:
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            assert fill(rng, count, *args) == reference(reference_rng, count, *args)
+            assert rng.getstate() == reference_rng.getstate()
+
+
+class TestFillsMatchTheLibraryLoops:
+    @pytest.mark.parametrize("odd_fraction", [0.0, 0.05, 0.5, 1.0])
+    def test_random_words(self, odd_fraction):
+        """``random()`` is drawn for every word, even at fraction 0.0."""
+        assert_same_draws(
+            kernels._random_words, reference_words, odd_fraction
+        )
+
+    @pytest.mark.parametrize("bits", range(21))
+    @pytest.mark.parametrize("regularity", [0.0, 0.7])
+    def test_index_offsets(self, bits, regularity):
+        assert_same_draws(
+            kernels._index_offsets, reference_offsets, 1 << bits, regularity
+        )
+
+    @pytest.mark.parametrize("bits", range(21))
+    @pytest.mark.parametrize("period", [0, 1, 3, 8])
+    def test_probe_keys(self, bits, period):
+        assert_same_draws(kernels._probe_keys, reference_keys, 1 << bits, period)
+
+    @pytest.mark.parametrize("sequential_fraction", [0.0, 0.25, 1.0])
+    def test_pointer_chase_writes_nodes_in_traversal_order(self, sequential_fraction):
+        """Next pointer then payload, node by node along the cycle."""
+        nodes, seed = 1 << 7, 11
+        rng = random.Random(seed)
+        sequence = list(range(nodes))
+        shuffled_count = round((1.0 - sequential_fraction) * nodes)
+        if shuffled_count > 1:
+            positions = rng.sample(range(nodes), shuffled_count)
+            values = [sequence[p] for p in positions]
+            rng.shuffle(values)
+            for position, value in zip(positions, values):
+                sequence[position] = value
+        reference = CodeBuilder()
+        for position, current in enumerate(sequence):
+            successor = sequence[(position + 1) % nodes]
+            address = LIST_BASE + 16 * current
+            reference.set_memory(address, LIST_BASE + 16 * successor)
+            value = rng.randrange(1 << 16) << 1
+            if rng.random() < 0.1:
+                value |= 1
+            reference.set_memory(address + 8, value)
+        reference.halt()
+        program = pointer_chase_kernel(
+            nodes=nodes, sequential_fraction=sequential_fraction,
+            odd_fraction=0.1, seed=seed,
+        )
+        assert list(program.initial_memory.items()) == list(
+            reference.build().initial_memory.items()
+        )
+
+
+def test_dependent_check_labels_are_unique_within_a_builder():
+    """Labels are tagged by position, not by a process-wide count, and
+    two checks in one builder still branch to their own targets."""
+    builder = CodeBuilder()
+    kernels._emit_dependent_check(builder, value_reg=18, check_period=4)
+    kernels._emit_dependent_check(builder, value_reg=18, check_period=4)
+    builder.halt()
+    branches = [inst.imm for inst in builder.build().instructions if inst.is_branch]
+    assert branches == [5, 5, 10, 10]
