@@ -6,15 +6,20 @@ state through the ``state`` / ``kind`` slots; the NDA, STT, DoM and
 DoM+VP hooks read the same slots and the shadow frontier once per sweep.
 This module keeps the straightforward form it replaced as the reference:
 one method per class, each walking the structures it needs and reading
-state through the ``MicroOp`` properties, and the scheme hooks as they
-were written against those properties.
+state through the ``MicroOp`` properties and the public accessors of the
+MSHR file and the doppelganger engine, and the scheme hooks as they were
+written against those properties.  No reference calls the production
+sweep it checks.
 
 Every (fuzz profile, fuzz scheme) program is stopped at several points;
 each stop is deep-copied and given zero to two seeded corruptions of the
-kinds real wrong-path bugs cause, half of them aimed at the scheme hooks.  On every resulting state both forms
-must produce the same :meth:`~InvariantChecker.audit` (every class, every
-string, in order) and :meth:`~InvariantChecker.check` must raise the same
+kinds real wrong-path bugs cause, drawn in equal shares from the window
+structures, the scheme hooks and (where the core has one) the
+doppelganger engine.  On every resulting state both forms must produce
+the same :meth:`~InvariantChecker.audit` (every class, every string, in
+order) and :meth:`~InvariantChecker.check` must raise the same
 ``(invariant, violations)`` as the reference, or neither may raise.
+Every class that can fail under a scheme must fail first somewhere.
 """
 
 import copy
@@ -28,7 +33,7 @@ from repro.fuzz.generator import generate_program
 from repro.fuzz.profiles import PROFILES, get_profile
 from repro.fuzz.session import DEFAULT_FUZZ_SCHEMES
 from repro.guardrails.invariants import INVARIANT_CLASSES, InvariantChecker
-from repro.isa.instructions import KIND_LOAD, KIND_STORE
+from repro.isa.instructions import KIND_CBRANCH, KIND_LOAD, KIND_STORE
 from repro.pipeline.core import Core
 from repro.pipeline.shadows import INFINITE_SEQ
 from repro.pipeline.uop import (
@@ -140,7 +145,26 @@ def reference_lsq(core):
 
 
 def reference_mshr(core):
-    return core.hierarchy.validate(core.cycle)
+    hierarchy = core.hierarchy
+    mshrs = hierarchy.mshrs
+    problems = []
+    # in_flight applies the file's lazy expiry, as the sweep must: a miss
+    # whose completion has passed is not an orphan.
+    occupancy = mshrs.in_flight(core.cycle)
+    if occupancy > mshrs.entries:
+        problems.append(
+            f"MSHR occupancy {occupancy} exceeds capacity {mshrs.entries}"
+        )
+    latency = hierarchy.max_latency
+    horizon = core.cycle + latency
+    for line, ready in mshrs.outstanding_lines().items():
+        if ready > horizon:
+            problems.append(
+                f"orphaned MSHR for line {line:#x}: completion "
+                f"{ready} is beyond the worst-case horizon {horizon} "
+                f"(cycle {core.cycle} + max latency {latency})"
+            )
+    return problems
 
 
 def reference_shadows(core):
@@ -202,9 +226,41 @@ def reference_shadows(core):
 
 
 def reference_doppelganger(core):
-    if core.engine is None:
+    engine = core.engine
+    if engine is None:
         return []
-    return core.engine.validate(core.rob)
+    problems = []
+    predicted_in_rob = 0
+    for uop in core.rob:
+        if not uop.is_load or uop.dl_predicted_address is None:
+            continue
+        predicted_in_rob += 1
+        if uop.dl_used and not uop.dl_correct:
+            problems.append(
+                f"load seq={uop.seq} pc={uop.pc} consumed its preload "
+                f"without a verified-correct prediction"
+            )
+        if (
+            uop.completed
+            and uop.dl_verified
+            and not uop.dl_correct
+            and not uop.dl_cancelled
+            and not uop.executed
+            and not uop.vp_active
+        ):
+            problems.append(
+                f"load seq={uop.seq} pc={uop.pc} completed after a "
+                f"mispredicted doppelganger without replaying the real "
+                f"access (dropped replay)"
+            )
+    tracked = engine.outstanding_instances()
+    if tracked != predicted_in_rob:
+        problems.append(
+            f"doppelganger instance accounting imbalance: engine tracks "
+            f"{tracked} in-flight predicted instances, ROB holds "
+            f"{predicted_in_rob}"
+        )
+    return problems
 
 
 def reference_nda(scheme, core):
@@ -461,6 +517,28 @@ def load_read(uop):
     return None
 
 
+def older_casters(core, seq):
+    """Branches and stores older than ``seq`` that could cast a shadow
+    again: each is young enough to join its caster queue in order."""
+    queues = {KIND_CBRANCH: core.shadows._branches, KIND_STORE: core.shadows._stores}
+    return [
+        uop
+        for uop in core.rob
+        if uop.seq < seq
+        and uop.kind in queues
+        and uop.state != STATE_SQUASHED
+        and uop.seq > (queues[uop.kind]._queue or [-1])[-1]
+    ]
+
+
+def issue_early(core, rng, uop):
+    """Bind a store's data early, or issue ``uop`` early."""
+    if uop.kind == KIND_STORE and rng.random() < 0.5:
+        uop.store_data_ready = True
+    else:
+        uop.issue_cycle = core.cycle
+
+
 def forge_early_issue(core, rng):
     """Issue a load's consumer, or bind a store's data from a load, early:
     an NDA value-lock bypass once the load is speculative, which the
@@ -471,10 +549,32 @@ def forge_early_issue(core, rng):
     uop = rng.choice(consumers)
     load = load_read(uop)
     move_frontier(core, rng, rng.choice((core.rob[0].seq, load.seq)))
-    if uop.kind == KIND_STORE and rng.random() < 0.5:
-        uop.store_data_ready = True
-    else:
-        uop.issue_cycle = core.cycle
+    issue_early(core, rng, uop)
+
+
+def forge_covered_issue(core, rng):
+    """The same bypass with the casters kept as a real one would find
+    them: the load is covered by a live caster, or an older branch or
+    store is reopened so that it casts a shadow over the load."""
+    frontier = core.shadows.frontier()
+    consumers = [
+        uop
+        for uop in core.rob
+        if load_read(uop) is not None
+        and (frontier < load_read(uop).seq or older_casters(core, load_read(uop).seq))
+    ]
+    if not consumers:
+        return
+    uop = rng.choice(consumers)
+    if frontier >= load_read(uop).seq:
+        caster = rng.choice(older_casters(core, load_read(uop).seq))
+        if caster.kind == KIND_CBRANCH:
+            caster.branch_resolved = False
+            core.shadows.branch_dispatched(caster.seq)
+        else:
+            caster.address_ready = False
+            core.shadows.store_dispatched(caster.seq)
+    issue_early(core, rng, uop)
 
 
 def forge_taint(core, rng):
@@ -529,8 +629,82 @@ def flip_resolution(core, rng):
             uop.address_ready = not uop.address_ready
 
 
+def overfill_or_orphan_mshr(core, rng):
+    """Give this copy its own MSHR file (the copies share the hierarchy),
+    then fill it past capacity or pin a miss past the memory horizon."""
+    hierarchy = copy.copy(core.hierarchy)
+    hierarchy.mshrs = mshrs = copy.deepcopy(hierarchy.mshrs)
+    core.hierarchy = hierarchy
+    horizon = core.cycle + hierarchy.max_latency
+    if rng.random() < 0.5:
+        for index in range(mshrs.entries + 1 - mshrs.in_flight(core.cycle)):
+            mshrs._outstanding[0xF0000000 + 64 * index] = rng.randint(
+                core.cycle + 1, horizon
+            )
+    else:
+        line = 0xDEAD0000 + 64 * rng.randrange(16)
+        mshrs._outstanding[line] = horizon + rng.randrange(1, 100)
+
+
+def forge_preload(core, rng):
+    """Forge the verify-or-replay fields of a ROB load that carries an
+    address prediction.  The fuzz programs halt before the stride table
+    grows confident, so a load without one is first given one, counted
+    by the engine as dispatch would count it."""
+    loads = [uop for uop in core.rob if uop.kind == KIND_LOAD]
+    if not loads:
+        return
+    load = rng.choice(loads)
+    if load.dl_predicted_address is None:
+        load.dl_predicted_address = 0x40
+        outstanding = core.engine._outstanding
+        outstanding[load.pc] = outstanding.get(load.pc, 0) + 1
+    for field in (
+        "dl_used",
+        "dl_correct",
+        "dl_verified",
+        "dl_cancelled",
+        "executed",
+        "vp_active",
+    ):
+        setattr(load, field, rng.random() < 0.5)
+    load.state = rng.choice((load.state, STATE_COMPLETED))
+
+
+def skew_outstanding_count(core, rng):
+    """Bump one PC's in-flight instance count in the engine, or drop it."""
+    if core.engine is None:
+        return
+    outstanding = core.engine._outstanding
+    pcs = sorted(outstanding)
+    if pcs and rng.random() < 0.5:
+        del outstanding[rng.choice(pcs)]
+    else:
+        pc = rng.choice(pcs) if pcs else core.rob[0].pc if core.rob else 0
+        outstanding[pc] = outstanding.get(pc, 0) + 1
+
+
+def forge_bypass_without_casters(core, rng):
+    """Resolve every caster and its instruction, then issue a load's
+    consumer or bind a store's data from a load.  With no caster live no
+    load is speculative, so this is no NDA value-lock bypass."""
+    shadows = core.shadows
+    for seq in shadows.live_branch_casters():
+        shadows.branch_resolved(seq)
+    for seq in shadows.live_store_casters():
+        shadows.store_address_resolved(seq)
+    for uop in core.rob:
+        if uop.kind == KIND_CBRANCH:
+            uop.branch_resolved = True
+        elif uop.kind == KIND_STORE:
+            uop.address_ready = True
+    consumers = [uop for uop in core.rob if load_read(uop) is not None]
+    if consumers:
+        issue_early(core, rng, rng.choice(consumers))
+
+
 #: Corruptions of the window's structures: ROB, IQ accounting, rename
-#: map, LSQ and shadow casters.
+#: map, LSQ, MSHRs and shadow casters.
 WINDOW_CORRUPTIONS = (
     swap_adjacent_rob_entries,
     duplicate_rob_entry,
@@ -542,25 +716,35 @@ WINDOW_CORRUPTIONS = (
     add_or_resolve_caster,
     drop_rob_entry,
     flip_resolution,
+    overfill_or_orphan_mshr,
 )
 #: Corruptions aimed at the scheme hooks, which need a specific producer,
-#: taint or delay state to fire; half of all draws come from here.
+#: taint or delay state to fire.
 SCHEME_CORRUPTIONS = (
     rebase_frontier,
     forge_early_issue,
+    forge_covered_issue,
     forge_taint,
     forge_dom_delay_fields,
+    forge_bypass_without_casters,
+)
+#: Corruptions aimed at the doppelganger engine's accounting.  Each group
+#: draws an equal share, this one only on a core that has an engine.
+ENGINE_CORRUPTIONS = (
+    forge_preload,
+    skew_outstanding_count,
 )
 
 #: Committed-instruction budgets each program is stopped at.
 STOP_POINTS = (8, 25, 50, 90)
 #: Corrupted copies taken at each stop.
-COPIES_PER_STOP = 12
+COPIES_PER_STOP = 16
 
 
 def shared_parts(core):
-    """Parts no corruption touches, shared by the copies to keep a deep
-    copy cheap: the program, its memory image, caches and predictors."""
+    """Parts no corruption mutates, shared by the copies to keep a deep
+    copy cheap: the program, its memory image, caches and predictors.
+    The MSHR corruption gives its copy its own file before it writes."""
     parts = (
         core.program,
         *core.program.instructions,
@@ -600,19 +784,43 @@ def test_checker_matches_reference(scheme):
             for index in range(COPIES_PER_STOP):
                 rng = random.Random(f"{profile}/{scheme}/{stop}/{index}")
                 state = copy.deepcopy(core, shared_parts(core))
+                groups = (WINDOW_CORRUPTIONS, SCHEME_CORRUPTIONS)
+                if state.engine is not None:
+                    groups += (ENGINE_CORRUPTIONS,)
                 for _ in range(rng.randint(0, 2)):
-                    group = rng.choice((WINDOW_CORRUPTIONS, SCHEME_CORRUPTIONS))
-                    rng.choice(group)(state, rng)
+                    rng.choice(rng.choice(groups))(state, rng)
                 label = f"{profile} stop={stop} copy={index}"
-                assert InvariantChecker(state).audit() == reference_audit(state), label
+                audit = InvariantChecker(state).audit()
+                assert audit == reference_audit(state), label
+                if state.shadows.frontier() == INFINITE_SEQ:
+                    # No caster is live, so no load is speculative.
+                    assert not any("NDA value lock" in p for p in audit["scheme"])
                 expected = reference_check(state)
                 assert new_check(state) == expected, label
                 states += 1
                 if expected is not None:
                     failing += 1
                     raised.add(expected[0])
-    # The corpus must actually exercise the checker: most classes raise
-    # somewhere, and a healthy share of states is faulty.
+    # The corpus must actually exercise the checker: every class that can
+    # fail under this scheme fails first somewhere, and a healthy share
+    # of states is faulty.
     assert states >= 100
     assert failing >= states // 3
-    assert {"rob", "rename", "lsq", "shadows"} <= raised <= set(INVARIANT_CLASSES)
+    assert raised == raising_classes(scheme)
+
+
+def raising_classes(scheme):
+    """The classes a corrupted state can fail under ``scheme``: the
+    doppelganger class needs the engine, the scheme class a hook."""
+    classes = {"rob", "rename", "lsq", "mshr", "shadows"}
+    built = make_scheme(scheme)
+    if built.address_prediction:
+        classes.add("doppelganger")
+    if built.name in REFERENCE_SCHEME_HOOKS:
+        classes.add("scheme")
+    return classes
+
+
+def test_every_class_raises_under_some_fuzz_scheme():
+    raising = set().union(*map(raising_classes, DEFAULT_FUZZ_SCHEMES))
+    assert raising == set(INVARIANT_CLASSES)
