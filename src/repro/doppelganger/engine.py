@@ -38,7 +38,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Dict
 
-from repro.pipeline.uop import MicroOp
+from repro.isa.instructions import KIND_LOAD
+from repro.pipeline.uop import STATE_COMMITTED, STATE_COMPLETED, MicroOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.core import Core
@@ -208,11 +209,15 @@ class DoppelgangerEngine:
         return len(self._candidates)
 
     def validate(self, rob) -> list:
-        """Verify-or-replay accounting sweep; returns violation strings."""
+        """Verify-or-replay accounting sweep; returns violation strings.
+
+        A guardrails-full core sweeps every cycle, so this reads the
+        ``kind`` and ``state`` slots, not the ``MicroOp`` properties.
+        """
         problems = []
         predicted_in_rob = 0
         for uop in rob:
-            if not uop.is_load or uop.dl_predicted_address is None:
+            if uop.kind != KIND_LOAD or uop.dl_predicted_address is None:
                 continue
             predicted_in_rob += 1
             if uop.dl_used and not uop.dl_correct:
@@ -221,7 +226,7 @@ class DoppelgangerEngine:
                     f"without a verified-correct prediction"
                 )
             if (
-                uop.completed
+                STATE_COMPLETED <= uop.state <= STATE_COMMITTED
                 and uop.dl_verified
                 and not uop.dl_correct
                 and not uop.dl_cancelled

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 from repro.common.errors import InvariantViolationError
 from repro.guardrails.dump import format_crash_dump, machine_snapshot, write_crash_dump
 from repro.isa.instructions import KIND_CBRANCH, KIND_LOAD, KIND_STORE
+from repro.pipeline.shadows import INFINITE_SEQ
 from repro.pipeline.uop import STATE_COMMITTED, STATE_SQUASHED, UopState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,37 +76,59 @@ class InvariantChecker:
     def __init__(self, core: "Core"):
         self.core = core
         self.dump_dir = core.config.guardrails.dump_dir
+        # A core's config, and so its limits and memory horizon, is fixed
+        # for its life: read them once, not on every sweep.
+        limits = core.config.core
+        self._rob_entries = limits.rob_entries
+        self._iq_entries = limits.iq_entries
+        self._lq_entries = limits.lq_entries
+        self._sq_entries = limits.sq_entries
+        self._max_latency = core.hierarchy.max_latency
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
     def audit(self) -> Dict[str, List[str]]:
         """Run every class; returns ``{class: [violations]}`` (all keys)."""
-        return dict(self._sweep())
+        found: Dict[str, List[str]] = {name: [] for name in INVARIANT_CLASSES}
+        found.update(self._violations())
+        return found
 
     def check(self) -> None:
         """Raise :class:`InvariantViolationError` on any violation."""
-        for name, problems in self._sweep():
-            if problems:
-                self._fail(name, problems)
+        for name, problems in self._violations():
+            self._fail(name, problems)
 
-    def _sweep(self) -> Iterator[Tuple[str, List[str]]]:
-        """``(class, violations)`` in :data:`INVARIANT_CLASSES` order.
+    def _violations(self) -> Iterator[Tuple[str, List[str]]]:
+        """``(class, violations)`` for each class that has violations, in
+        :data:`INVARIANT_CLASSES` order.
 
         Lazy, so :meth:`check` stops at the first class with problems:
         the MSHR sweep (which expires completed misses) runs only on a
-        window whose rob, rename and lsq classes are clean.
+        window whose rob, rename and lsq classes are clean.  A clean
+        sweep yields nothing.
         """
         core = self.core
         rob, rename, lsq, shadows = self._check_window()
-        yield "rob", rob
-        yield "rename", rename
-        yield "lsq", lsq
-        yield "mshr", core.hierarchy.validate(core.cycle)
-        yield "shadows", shadows
+        if rob:
+            yield "rob", rob
+        if rename:
+            yield "rename", rename
+        if lsq:
+            yield "lsq", lsq
+        mshr = core.hierarchy.mshrs.validate(core.cycle, self._max_latency)
+        if mshr:
+            yield "mshr", mshr
+        if shadows:
+            yield "shadows", shadows
         engine = core.engine
-        yield "doppelganger", [] if engine is None else engine.validate(core.rob)
-        yield "scheme", core.scheme.check_invariants(core)
+        if engine is not None:
+            doppelganger = engine.validate(core.rob)
+            if doppelganger:
+                yield "doppelganger", doppelganger
+        scheme = core.scheme.check_invariants(core)
+        if scheme:
+            yield "scheme", scheme
 
     def _fail(self, invariant: str, problems: List[str]) -> None:
         core = self.core
@@ -135,29 +158,32 @@ class InvariantChecker:
     def _check_window(self) -> Tuple[List[str], List[str], List[str], List[str]]:
         """The rob, rename, lsq and shadows classes from one ROB walk.
 
-        The walk checks age order, dead entries and IQ flags, and finds
-        unresolved casters the shadow tracker lost; the ROB-resident set
-        it leaves behind serves the rename map and both LSQ queues, and
-        a seq -> uop index is kept only while some caster is live.
+        The walk checks age order, dead entries and IQ flags, and collects
+        the window's unresolved branches and stores in ROB order.  ROB
+        residency is a test against ``set(rob)`` by identity (``MicroOp``
+        keeps ``object``'s ``__eq__`` and ``__hash__``).  A ROB the walk
+        finds clean is age-ordered and holds only live uops, so C-level
+        tests then clear two classes:
+
+        * rename: every rename-map uop is in ``set(rob)``;
+        * shadows: the unresolved branches and stores are, in order,
+          exactly the tracker's live casters (read only while some caster
+          is live).
+
+        Where a test fails, a per-entry loop names the offenders; it is
+        the one place each of its messages is written.
         """
         core = self.core
-        limits = core.config.core
         rob = core.rob
         rob_problems: List[str] = []
-        if len(rob) > limits.rob_entries:
+        if len(rob) > self._rob_entries:
             rob_problems.append(
                 f"ROB holds {len(rob)} entries, capacity is "
-                f"{limits.rob_entries}"
+                f"{self._rob_entries}"
             )
-        branch_casters = core.shadows.live_branch_casters()
-        store_casters = core.shadows.live_store_casters()
-        tracked_branches = set(branch_casters)
-        tracked_stores = set(store_casters)
-        by_seq: Dict[int, "MicroOp"] = {}
-        index = bool(branch_casters or store_casters)
-        # Reverse direction: every unresolved caster in the window must be
-        # tracked, else speculation checks go permissive (unsafe!).
-        untracked: List[str] = []
+        unresolved: List["MicroOp"] = []
+        open_branches: List[int] = []
+        open_stores: List[int] = []
         previous = -1
         in_iq = 0
         for uop in rob:
@@ -167,66 +193,63 @@ class InvariantChecker:
                     f"ROB not age-ordered: seq={seq} follows seq={previous}"
                 )
             previous = seq
-            state = uop.state
-            if state == STATE_SQUASHED or state == STATE_COMMITTED:
+            if uop.in_iq:
+                in_iq += 1
+            if uop.state >= STATE_COMMITTED:
+                # Committed or squashed: the entry should have left.
+                state = uop.state
                 rob_problems.append(
                     f"ROB contains a {UopState(state).name} entry seq={seq} "
                     f"(must have been removed)"
                 )
-            if uop.in_iq:
-                in_iq += 1
-            if index:
-                by_seq[seq] = uop
-            if state == STATE_SQUASHED:
-                continue
+                if state == STATE_SQUASHED:
+                    continue
             kind = uop.kind
             if kind == KIND_CBRANCH:
-                if not uop.branch_resolved and seq not in tracked_branches:
-                    untracked.append(
-                        f"unresolved branch seq={seq} casts no shadow "
-                        f"(speculation window under-approximated)"
-                    )
+                if not uop.branch_resolved:
+                    unresolved.append(uop)
+                    open_branches.append(seq)
             elif kind == KIND_STORE:
-                if not uop.address_ready and seq not in tracked_stores:
-                    untracked.append(
-                        f"unresolved store seq={seq} casts no shadow "
-                        f"(speculation window under-approximated)"
-                    )
+                if not uop.address_ready:
+                    unresolved.append(uop)
+                    open_stores.append(seq)
         if in_iq != core.iq_count:
             rob_problems.append(
                 f"IQ accounting imbalance: counter says {core.iq_count}, "
                 f"ROB holds {in_iq} entries flagged in_iq"
             )
-        if not 0 <= core.iq_count <= limits.iq_entries:
+        if not 0 <= core.iq_count <= self._iq_entries:
             rob_problems.append(
                 f"IQ occupancy {core.iq_count} outside "
-                f"[0, {limits.iq_entries}]"
+                f"[0, {self._iq_entries}]"
             )
+        rob_clean = not rob_problems
 
-        residents = set(map(id, rob))
+        residents = set(rob)
         rename_problems: List[str] = []
-        for reg, uop in core.rename.items():
-            state = uop.state
-            if state == STATE_SQUASHED:
-                rename_problems.append(
-                    f"rename map r{reg} points at squashed seq={uop.seq} "
-                    f"(physical register leaked across squash)"
-                )
-            elif state == STATE_COMMITTED:
-                rename_problems.append(
-                    f"rename map r{reg} points at committed seq={uop.seq} "
-                    f"(stale mapping survived commit)"
-                )
-            elif id(uop) not in residents:
-                rename_problems.append(
-                    f"rename map r{reg} points at seq={uop.seq} which is "
-                    f"not ROB-resident"
-                )
+        if not (rob_clean and residents.issuperset(core.rename.values())):
+            for reg, uop in core.rename.items():
+                state = uop.state
+                if state == STATE_SQUASHED:
+                    rename_problems.append(
+                        f"rename map r{reg} points at squashed seq={uop.seq} "
+                        f"(physical register leaked across squash)"
+                    )
+                elif state == STATE_COMMITTED:
+                    rename_problems.append(
+                        f"rename map r{reg} points at committed seq={uop.seq} "
+                        f"(stale mapping survived commit)"
+                    )
+                elif uop not in residents:
+                    rename_problems.append(
+                        f"rename map r{reg} points at seq={uop.seq} which is "
+                        f"not ROB-resident"
+                    )
 
         lsq_problems: List[str] = []
         for label, queue, capacity, want, noun in (
-            ("LQ", core.lq, limits.lq_entries, KIND_LOAD, "load"),
-            ("SQ", core.sq, limits.sq_entries, KIND_STORE, "store"),
+            ("LQ", core.lq, self._lq_entries, KIND_LOAD, "load"),
+            ("SQ", core.sq, self._sq_entries, KIND_STORE, "store"),
         ):
             if len(queue) > capacity:
                 lsq_problems.append(
@@ -250,45 +273,71 @@ class InvariantChecker:
                         f"{label} entry seq={seq} is squashed but was "
                         f"never pruned"
                     )
-                elif id(uop) not in residents:
+                elif uop not in residents:
                     lsq_problems.append(
                         f"{label} entry seq={seq} does not map to a live "
                         f"ROB entry"
                     )
 
+        shadows = core.shadows
+        if shadows.frontier() == INFINITE_SEQ:
+            # No caster is live: the tracker's queues are empty.
+            branch_casters: List[int] = []
+            store_casters: List[int] = []
+        else:
+            branch_casters = shadows.live_branch_casters()
+            store_casters = shadows.live_store_casters()
         shadow_problems: List[str] = []
-        for seq in branch_casters:
-            uop = by_seq.get(seq)
-            if uop is None:
-                shadow_problems.append(
-                    f"branch shadow caster seq={seq} outlived its casting "
-                    f"instruction (not in ROB)"
-                )
-            elif uop.kind != KIND_CBRANCH:
-                shadow_problems.append(
-                    f"branch shadow caster seq={seq} is not a conditional "
-                    f"branch"
-                )
-            elif uop.branch_resolved:
-                shadow_problems.append(
-                    f"branch shadow caster seq={seq} is already resolved but "
-                    f"still casts a shadow"
-                )
-        for seq in store_casters:
-            uop = by_seq.get(seq)
-            if uop is None:
-                shadow_problems.append(
-                    f"store shadow caster seq={seq} outlived its casting "
-                    f"instruction (not in ROB)"
-                )
-            elif uop.kind != KIND_STORE:
-                shadow_problems.append(
-                    f"store shadow caster seq={seq} is not a store"
-                )
-            elif uop.address_ready:
-                shadow_problems.append(
-                    f"store shadow caster seq={seq} has a resolved address "
-                    f"but still casts a shadow"
-                )
-        shadow_problems += untracked
+        if not (
+            rob_clean
+            and open_branches == branch_casters
+            and open_stores == store_casters
+        ):
+            by_seq: Dict[int, "MicroOp"] = {uop.seq: uop for uop in rob}
+            for seq in branch_casters:
+                uop = by_seq.get(seq)
+                if uop is None:
+                    shadow_problems.append(
+                        f"branch shadow caster seq={seq} outlived its casting "
+                        f"instruction (not in ROB)"
+                    )
+                elif uop.kind != KIND_CBRANCH:
+                    shadow_problems.append(
+                        f"branch shadow caster seq={seq} is not a conditional "
+                        f"branch"
+                    )
+                elif uop.branch_resolved:
+                    shadow_problems.append(
+                        f"branch shadow caster seq={seq} is already resolved "
+                        f"but still casts a shadow"
+                    )
+            for seq in store_casters:
+                uop = by_seq.get(seq)
+                if uop is None:
+                    shadow_problems.append(
+                        f"store shadow caster seq={seq} outlived its casting "
+                        f"instruction (not in ROB)"
+                    )
+                elif uop.kind != KIND_STORE:
+                    shadow_problems.append(
+                        f"store shadow caster seq={seq} is not a store"
+                    )
+                elif uop.address_ready:
+                    shadow_problems.append(
+                        f"store shadow caster seq={seq} has a resolved address "
+                        f"but still casts a shadow"
+                    )
+            # Reverse direction: every unresolved caster in the window must
+            # be tracked, else speculation checks go permissive (unsafe!).
+            tracked = {
+                KIND_CBRANCH: set(branch_casters),
+                KIND_STORE: set(store_casters),
+            }
+            for uop in unresolved:
+                if uop.seq not in tracked[uop.kind]:
+                    noun = "branch" if uop.kind == KIND_CBRANCH else "store"
+                    shadow_problems.append(
+                        f"unresolved {noun} seq={uop.seq} casts no shadow "
+                        f"(speculation window under-approximated)"
+                    )
         return rob_problems, rename_problems, lsq_problems, shadow_problems

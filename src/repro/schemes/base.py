@@ -50,6 +50,7 @@ from repro.isa.instructions import (
     KIND_LOAD,
     KIND_STORE,
 )
+from repro.pipeline.shadows import INFINITE_SEQ
 from repro.pipeline.uop import (
     STATE_COMMITTED,
     STATE_COMPLETED,
@@ -62,6 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.core import Core
 
 __all__ = [
+    "INFINITE_SEQ",
     "KIND_CBRANCH",
     "KIND_JMP",
     "KIND_LOAD",

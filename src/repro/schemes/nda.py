@@ -14,6 +14,7 @@ unreadable until the shadow frontier reaches the load itself.
 from __future__ import annotations
 
 from repro.schemes.base import (
+    INFINITE_SEQ,
     KIND_LOAD,
     KIND_STORE,
     READY,
@@ -48,11 +49,14 @@ class NDAPermissive(SecureScheme):
         dependent whose in-flight load producer is speculative *now* must
         have bypassed the lock.
         """
-        problems = []
         # The sweep never moves the frontier: read it once.  A producer
         # is speculative iff frontier < its seq; state < COMMITTED is
-        # "in flight", which already excludes squashed.
+        # "in flight", which already excludes squashed.  With no caster
+        # live the frontier is INFINITE_SEQ and nothing is speculative.
         frontier = self.shadows.frontier()
+        if frontier == INFINITE_SEQ:
+            return []
+        problems = []
         for uop in core.rob:
             if uop.state == STATE_SQUASHED:
                 continue

@@ -122,3 +122,29 @@ class TestMonotonicity:
                     released.add(watched)
             for watched in released:
                 assert t.is_nonspeculative(watched)
+
+
+class TestLiveCasters:
+    def test_live_casters_match_a_model(self):
+        """The guardrails read the live casters, oldest first, whether or
+        not an out-of-order resolution left a lazily removed entry."""
+        import random
+
+        rng = random.Random(7)
+        t = ShadowTracker()
+        live = []
+        seq = 0
+        for _ in range(500):
+            if rng.random() < 0.55 or not live:
+                seq += 1
+                is_branch = rng.random() < 0.5
+                if is_branch:
+                    t.branch_dispatched(seq)
+                else:
+                    t.store_dispatched(seq)
+                live.append((seq, is_branch))
+            else:
+                caster, is_branch = live.pop(rng.randrange(len(live)))
+                t.caster_squashed(caster, is_branch)
+            assert t.live_branch_casters() == [s for s, b in live if b]
+            assert t.live_store_casters() == [s for s, b in live if not b]

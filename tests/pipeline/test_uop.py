@@ -49,6 +49,16 @@ class TestLifecyclePredicates:
         assert uop.dispatch_cycle == 11
 
 
+class TestIdentity:
+    def test_equality_and_hash_are_object_identity(self):
+        """The invariant checker tests ROB residency against ``set(rob)``,
+        so two uops may be the same entry only by being the same object."""
+        assert MicroOp.__eq__ is object.__eq__
+        assert MicroOp.__hash__ is object.__hash__
+        first, second = make(), make()
+        assert first != second and len({first, second, first}) == 2
+
+
 class TestClassification:
     def test_kind_passthrough(self):
         assert make(Opcode.LOAD).is_load
