@@ -320,7 +320,7 @@ class JobEngine:
         executor = ProcessPoolExecutor(
             max_workers=workers, mp_context=context, initializer=gc.freeze
         )
-        finished = False
+        interrupted = False
         try:
             # The worker (and any chaos stage) must be module-level for
             # the pool to pickle it by qualified name.
@@ -374,20 +374,23 @@ class JobEngine:
                     for future in pending:
                         index = futures[future]
                         resolve(index, self.crash_payload(items[index][1]))
+                    self._kill_workers(executor)
                     return
-            finished = True
         except BaseException:
             # Ctrl-C (or an unexpected bug) mid-wave: results already
             # resolved are stored; kill the workers so the interpreter
             # does not block on join at exit.
+            interrupted = True
             self._kill_workers(executor)
             raise
         finally:
-            # A wave whose every future resolved joins its idle pool (a
-            # few ms), so no manager or queue-feeder thread still runs
-            # when the next wave or session forks; a killed, timed-out or
-            # broken pool is left to die without a wait.
-            executor.shutdown(wait=finished, cancel_futures=True)
+            # Every wave but an interrupted one joins its pool: an idle one
+            # in a few ms, a killed (timed-out or broken) one once its
+            # manager has reaped the dead workers.  So no manager or
+            # queue-feeder thread still runs when the retry wave or the
+            # next session forks.  An interrupted pool is left to die
+            # without a wait.
+            executor.shutdown(wait=not interrupted, cancel_futures=True)
 
     @staticmethod
     def _kill_workers(executor: ProcessPoolExecutor) -> None:

@@ -7,10 +7,19 @@ machine in lockstep, and capped so a long retry ladder cannot stall a
 campaign for minutes per wave.
 
 A pool worker freezes the heap it starts with, so its per-job garbage
-collections walk only what it allocated; the parent never freezes.
+collections walk only what it allocated; the parent never freezes.  (An
+interpreter may start with a frozen heap of its own, so each freeze test
+compares with the count it reads before the run.)
+
+A wave that times out or breaks its pool kills the workers and joins the
+pool, so the retry wave or the next session forks a parent that runs no
+pool manager or queue-feeder thread.
 """
 
 import gc
+import os
+import threading
+import time
 
 import pytest
 
@@ -73,15 +82,50 @@ def _freeze_count_worker(job):
 
 class TestWorkerHeapFreeze:
     def test_pool_workers_freeze_what_they_inherit(self):
+        before = gc.get_freeze_count()
         payloads = {}
         engine = JobEngine(_freeze_count_worker, jobs=2)
         engine.run([(index, index) for index in range(4)], payloads.__setitem__)
         assert sorted(payloads) == [0, 1, 2, 3]
-        assert all(payload["frozen"] > 0 for payload in payloads.values())
+        assert all(payload["frozen"] > before for payload in payloads.values())
 
     def test_inline_engine_leaves_the_parent_unfrozen(self):
+        before = gc.get_freeze_count()
         payloads = {}
         engine = JobEngine(_freeze_count_worker, jobs=1)
         engine.run([(index, index) for index in range(2)], payloads.__setitem__)
-        assert [payload["frozen"] for payload in payloads.values()] == [0, 0]
-        assert gc.get_freeze_count() == 0
+        assert [payload["frozen"] for payload in payloads.values()] == [before, before]
+        assert gc.get_freeze_count() == before
+
+
+def _hang_on_one(job):
+    if job == "hang":
+        time.sleep(60)
+    return {"ok": True, "value": job}
+
+
+def _crash_on_one(job):
+    if job == "crash":
+        os._exit(1)
+    return {"ok": True, "value": job}
+
+
+class TestKilledPoolsAreJoined:
+    def test_a_timed_out_retried_run_leaves_no_thread_behind(self):
+        before = threading.enumerate()
+        payloads = {}
+        engine = JobEngine(_hang_on_one, jobs=2, job_timeout=1.0, retries=1)
+        engine.run([("hang", "hang"), ("ok", "ok")], payloads.__setitem__)
+        assert payloads["ok"]["ok"]
+        assert payloads["hang"]["error_type"] == "JobTimeoutError"
+        assert payloads["hang"]["attempts"] == 2
+        assert threading.enumerate() == before
+
+    def test_a_broken_pool_run_leaves_no_thread_behind(self):
+        before = threading.enumerate()
+        payloads = {}
+        engine = JobEngine(_crash_on_one, jobs=2, retries=1, retry_backoff=0.0)
+        engine.run([("crash", "crash"), ("ok", "ok")], payloads.__setitem__)
+        assert payloads["crash"]["error_type"] == "WorkerCrashError"
+        assert payloads["crash"]["attempts"] == 2
+        assert threading.enumerate() == before
