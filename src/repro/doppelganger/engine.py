@@ -39,7 +39,12 @@ from collections import deque
 from typing import TYPE_CHECKING, Dict
 
 from repro.isa.instructions import KIND_LOAD
-from repro.pipeline.uop import STATE_COMMITTED, STATE_COMPLETED, MicroOp
+from repro.pipeline.uop import (
+    STATE_COMMITTED,
+    STATE_COMPLETED,
+    STATE_SQUASHED,
+    MicroOp,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.core import Core
@@ -55,22 +60,30 @@ class DoppelgangerEngine:
         # so the per-dispatch/per-issue paths skip the core indirection.
         self.stride = core.stride
         self.hierarchy = core.hierarchy
+        predictor = core.stride.config
+        self._threshold = predictor.confidence_threshold
+        self._aging = predictor.multi_instance_aging
         # In-flight predicted instances per PC, used to age predictions
         # across overlapping loop iterations.
         self._outstanding: Dict[int, int] = {}
-        # Predicted loads awaiting a spare port, oldest first.
-        self._candidates: deque = deque()
+        #: Predicted loads awaiting a spare port, oldest first.  The core
+        #: tests it for emptiness before calling :meth:`issue_spare`; it
+        #: is never rebound.
+        self.candidates: deque = deque()
 
     # ------------------------------------------------------------------
     # Dispatch: predict the current instance's address
     # ------------------------------------------------------------------
+    # repro: hot
     def on_dispatch(self, load: MicroOp) -> None:
         table = self.stride
-        entry = table.entry_for(load.pc)
-        if entry is None or entry.confidence < table.config.confidence_threshold:
+        pc = load.pc
+        entry = table.entry_for(pc)
+        if entry is None or entry.confidence < self._threshold:
             return
-        pending = self._outstanding.get(load.pc, 0)
-        if table.config.multi_instance_aging:
+        outstanding = self._outstanding
+        pending = outstanding.get(pc, 0)
+        if self._aging:
             # Extension (see PredictorConfig.multi_instance_aging): age
             # the prediction by one stride per older in-flight instance.
             steps = pending + 1
@@ -84,14 +97,13 @@ class DoppelgangerEngine:
         predicted = (entry.last_address + entry.stride * steps) & ((1 << 64) - 1)
         table.predictions_made += 1
         load.dl_predicted_address = predicted
-        self._outstanding[load.pc] = pending + 1
+        outstanding[pc] = pending + 1
         self.stats.dl_predictions += 1
-        self._candidates.append(load)
+        self.candidates.append(load)
 
     def _retire_instance(self, load: MicroOp) -> None:
-        """Drop the outstanding-instance count when an instance leaves."""
-        if load.dl_predicted_address is None:
-            return
+        """Drop the outstanding-instance count when a predicted instance
+        leaves (callers check that it carries a prediction)."""
         pending = self._outstanding.get(load.pc, 0)
         if pending > 1:
             self._outstanding[load.pc] = pending - 1
@@ -101,9 +113,7 @@ class DoppelgangerEngine:
     # ------------------------------------------------------------------
     # Spare-port issue
     # ------------------------------------------------------------------
-    def has_candidates(self) -> bool:
-        return bool(self._candidates)
-
+    # repro: hot
     def issue_spare(self, ports: int, now: int) -> int:
         """Issue doppelganger accesses into leftover load ports.
 
@@ -111,23 +121,25 @@ class DoppelgangerEngine:
         issued, verified, or squashed.  Returns the number of ports still
         unused (for the prefetcher).
         """
-        candidates = self._candidates
+        candidates = self.candidates
         if ports <= 0 or not candidates:
             return ports
-        hierarchy = self.hierarchy
+        access = self.hierarchy.access
+        stats = self.stats
         while ports > 0 and candidates:
             load = candidates[0]
             if (
-                load.squashed
+                load.state == STATE_SQUASHED
                 or load.executed
                 or load.dl_issued
                 or load.dl_verified
                 or load.address_ready
-                or not load.has_doppelganger
+                or load.dl_predicted_address is None
+                or load.dl_cancelled
             ):
                 candidates.popleft()
                 continue
-            result = hierarchy.access(load.dl_predicted_address, now)
+            result = access(load.dl_predicted_address, now)
             ports -= 1
             if result.retry:
                 break  # MSHRs exhausted; retry the same load next cycle
@@ -135,7 +147,7 @@ class DoppelgangerEngine:
             load.dl_issued = True
             load.dl_completion_cycle = now + result.latency
             load.dl_l1_hit = result.l1_hit
-            self.stats.dl_issued += 1
+            stats.dl_issued += 1
         return ports
 
     # ------------------------------------------------------------------
@@ -175,6 +187,8 @@ class DoppelgangerEngine:
     # Retirement bookkeeping
     # ------------------------------------------------------------------
     def on_commit(self, load: MicroOp) -> None:
+        if load.dl_predicted_address is None:
+            return
         self._retire_instance(load)
         if not load.dl_issued:
             return
@@ -183,8 +197,10 @@ class DoppelgangerEngine:
             self.stats.dl_correct_commits += 1
 
     def on_squash(self, load: MicroOp) -> None:
+        if load.dl_predicted_address is None:
+            return
         self._retire_instance(load)
-        if load.dl_issued and not load.committed:
+        if load.dl_issued and load.state != STATE_COMMITTED:
             # The access happened; only the (secret-independent) predicted
             # address became visible — safe per §4.2.
             self.stats.dl_squashed += 1
@@ -206,7 +222,7 @@ class DoppelgangerEngine:
 
     def pending_candidates(self) -> int:
         """Predicted loads still queued for a spare port (lazy-cleaned)."""
-        return len(self._candidates)
+        return len(self.candidates)
 
     def validate(self, rob) -> list:
         """Verify-or-replay accounting sweep; returns violation strings.

@@ -4,7 +4,7 @@ A secure-speculation scheme answers *timing* questions (may this load
 issue? is this operand tainted?) — its hooks cannot corrupt dataflow by
 construction.  So a realistic "scheme bug" fixture must reach past the
 hook interface: each mutation wraps the scheme's :meth:`attach` and
-intercepts the core's architectural write path, introducing a
+intercepts the core's architectural state writes, introducing a
 dataflow-visible bug the differential oracle is required to catch.
 
 Mutations are addressed by name (plain strings travel in job specs and
@@ -26,23 +26,32 @@ from repro.schemes.base import SecureScheme
 MUTATION_PERIOD = 3
 
 
+class _BitflipRegisters(list):
+    """A register file whose every Nth store flips bit 1 of the value.
+
+    Commit stores straight into ``ArchState.registers``, and once the
+    core is built nothing else writes it, so the stores counted here are
+    exactly the committed register writes.
+    """
+
+    def __init__(self, registers) -> None:
+        super().__init__(registers)
+        self.writes = 0
+
+    def __setitem__(self, index, value) -> None:
+        self.writes += 1
+        if self.writes % MUTATION_PERIOD == 0:
+            value ^= 0b10
+        super().__setitem__(index, value)
+
+
 def _install_commit_bitflip(scheme: SecureScheme) -> None:
     """Every Nth committed register write flips bit 1 of the value."""
     original_attach = scheme.attach
 
     def attach(core) -> None:
         original_attach(core)
-        arch = core.arch
-        original_write = arch.write_reg
-        counter = {"writes": 0}
-
-        def write_reg(index: int, value: int) -> None:
-            counter["writes"] += 1
-            if counter["writes"] % MUTATION_PERIOD == 0:
-                value ^= 0b10
-            original_write(index, value)
-
-        arch.write_reg = write_reg
+        core.arch.registers = _BitflipRegisters(core.arch.registers)
 
     scheme.attach = attach  # type: ignore[method-assign]
 

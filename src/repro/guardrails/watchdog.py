@@ -70,7 +70,7 @@ class Watchdog:
             or core._mem_retry
             or core._forward_retry
             or core._prefetch_queue
-            or (core.engine is not None and core.engine.has_candidates())
+            or (core.engine is not None and core.engine.candidates)
         )
         stats = core.stats
         if busy:

@@ -18,6 +18,7 @@ in a :class:`repro.pipeline.uop.MicroOp`.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -94,6 +95,8 @@ def _check_reg(value: Optional[int], what: str) -> None:
 
 # Instruction kind codes, precomputed per static instruction so the
 # pipeline's hot paths dispatch on a plain int instead of enum lookups.
+# The four kinds that issue come first, so ``kind <= KIND_CBRANCH`` means
+# "enters the issue queue".
 KIND_ALU = 0
 KIND_LOAD = 1
 KIND_STORE = 2
@@ -228,18 +231,6 @@ def _mul(a: int, b: int) -> int:
     return (a * b) & WORD_MASK
 
 
-def _and(a: int, b: int) -> int:
-    return a & b
-
-
-def _or(a: int, b: int) -> int:
-    return a | b
-
-
-def _xor(a: int, b: int) -> int:
-    return a ^ b
-
-
 def _shl(a: int, b: int) -> int:
     return (a << (b & 63)) & WORD_MASK
 
@@ -258,18 +249,19 @@ def _li(a: int, b: int) -> int:
 
 #: Opcode -> evaluator dispatch table; the execute stage binds these once
 #: per static instruction (``Instruction.alu_fn``) so a dynamic instance
-#: pays one call, not an if/elif chain.
+#: pays one call, not an if/elif chain.  An operation that needs no mask
+#: is the ``operator`` function itself, a C call.
 _ALU_FUNCS = {
     Opcode.ADD: _add,
     Opcode.ADDI: _add,
     Opcode.SUB: _sub,
     Opcode.MUL: _mul,
     Opcode.MULI: _mul,
-    Opcode.AND: _and,
-    Opcode.ANDI: _and,
-    Opcode.OR: _or,
-    Opcode.XOR: _xor,
-    Opcode.XORI: _xor,
+    Opcode.AND: operator.and_,
+    Opcode.ANDI: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+    Opcode.XORI: operator.xor,
     Opcode.SHL: _shl,
     Opcode.SHLI: _shl,
     Opcode.SHR: _shr,
@@ -287,28 +279,19 @@ def evaluate_alu(opcode: Opcode, a: int, b: int) -> int:
     return fn(a, b)
 
 
-def _signed(value: int) -> int:
-    return value - (1 << 64) if value >> 63 else value
-
-
 def _jmp_taken(a: int, b: int) -> bool:
     return True
 
 
-def _beq(a: int, b: int) -> bool:
-    return a == b
-
-
-def _bne(a: int, b: int) -> bool:
-    return a != b
-
-
+# ``blt``/``bge`` compare two's-complement signed words: flipping the sign
+# bit of both maps signed order onto unsigned order, so each predicate is
+# one comparison of two flipped words (``1 << 63`` folds to a constant).
 def _blt(a: int, b: int) -> bool:
-    return _signed(a) < _signed(b)
+    return (a ^ (1 << 63)) < (b ^ (1 << 63))
 
 
 def _bge(a: int, b: int) -> bool:
-    return _signed(a) >= _signed(b)
+    return (a ^ (1 << 63)) >= (b ^ (1 << 63))
 
 
 #: Opcode -> predicate dispatch table (``Instruction.branch_fn``).
@@ -316,8 +299,8 @@ def _bge(a: int, b: int) -> bool:
 #: which lets kernels count down through zero.
 _BRANCH_FUNCS = {
     Opcode.JMP: _jmp_taken,
-    Opcode.BEQ: _beq,
-    Opcode.BNE: _bne,
+    Opcode.BEQ: operator.eq,
+    Opcode.BNE: operator.ne,
     Opcode.BLT: _blt,
     Opcode.BGE: _bge,
 }

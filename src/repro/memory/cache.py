@@ -6,7 +6,7 @@ model only needs hit/miss decisions.
 
 Two kinds of read exist because of Delay-on-Miss:
 
-* :meth:`lookup` — a *non-mutating probe*: reports hit/miss without touching
+* ``lookup`` — a *non-mutating probe*: reports hit/miss without touching
   replacement state.  DoM issues speculative loads this way so that a
   squashed speculative hit leaves no observable trace (the replacement
   update is applied retroactively at commit via :meth:`touch`).
@@ -56,14 +56,19 @@ class CacheLevel:
         self._touch = array("q", (0,)) * slots
         self._fill = array("q", (0,)) * slots
         self._dirty = bytearray(slots)
-        self._line_shift = config.line_size.bit_length() - 1
+        #: ``address >> line_shift`` is the line holding ``address``.
+        self.line_shift = config.line_size.bit_length() - 1
+        # Non-mutating hit test, ``lookup(line) -> bool`` (DoM probe,
+        # residency): the line index's own ``__contains__``, a C call.
+        # ``_slot`` is cleared in place, never rebound.
+        self.lookup = self._slot.__contains__
 
     # ------------------------------------------------------------------
     # Address helpers
     # ------------------------------------------------------------------
     def line_address(self, address: int) -> int:
         """The line-aligned address containing ``address``."""
-        return address >> self._line_shift
+        return address >> self.line_shift
 
     def set_index(self, line: int) -> int:
         return line % self.num_sets
@@ -71,10 +76,6 @@ class CacheLevel:
     # ------------------------------------------------------------------
     # Probes and accesses
     # ------------------------------------------------------------------
-    def lookup(self, line: int) -> bool:
-        """Non-mutating hit test (DoM probe)."""
-        return line in self._slot
-
     def access(self, line: int, cycle: int, is_write: bool = False) -> bool:
         """Demand access: on hit, update replacement (and dirty); else miss."""
         slot = self._slot.get(line)

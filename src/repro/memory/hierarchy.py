@@ -57,6 +57,9 @@ class MemoryHierarchy:
         self.l3 = CacheLevel(config.l3)
         self.mshrs = MSHRFile(config.l1.mshrs)
         self._levels: List[CacheLevel] = [self.l1, self.l2, self.l3]
+        # Every level is addressed by the L1 line, so one shift turns an
+        # address into its line for the whole hierarchy.
+        self._line_shift = self.l1.line_shift
         self._watched: dict = {}
         # AccessResult is frozen, so every fixed-latency outcome can be a
         # preallocated singleton — the hot access path then allocates only
@@ -72,7 +75,7 @@ class MemoryHierarchy:
     # Address helpers
     # ------------------------------------------------------------------
     def line_address(self, address: int) -> int:
-        return self.l1.line_address(address)
+        return address >> self._line_shift
 
     # ------------------------------------------------------------------
     # Demand / doppelganger / prefetch accesses
@@ -86,7 +89,7 @@ class MemoryHierarchy:
         """
         stats = self.stats
         mshrs = self.mshrs
-        line = self.l1.line_address(address)
+        line = address >> self._line_shift
         if self._watched and line in self._watched:
             self._watched[line] += 1
         inflight = mshrs.outstanding_completion(line, cycle)
@@ -147,6 +150,7 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Delay-on-Miss support
     # ------------------------------------------------------------------
+    # repro: hot
     def probe(self, address: int, cycle: int) -> bool:
         """DoM speculative access: hit test with no state change.
 
@@ -154,20 +158,21 @@ class MemoryHierarchy:
         updates replacement state nor propagates to L2 — a speculative miss
         under DoM is simply delayed.
         """
-        line = self.line_address(address)
-        self.stats.l1_accesses += 1
+        line = address >> self._line_shift
+        stats = self.stats
+        stats.l1_accesses += 1
         if self.mshrs.outstanding_completion(line, cycle) is not None:
-            self.stats.l1_misses += 1
+            stats.l1_misses += 1
             return False
         if self.l1.lookup(line):
-            self.stats.l1_hits += 1
+            stats.l1_hits += 1
             return True
-        self.stats.l1_misses += 1
+        stats.l1_misses += 1
         return False
 
     def touch(self, address: int, cycle: int) -> bool:
         """Retroactive L1 replacement update for a committed DoM hit."""
-        return self.l1.touch(self.line_address(address), cycle)
+        return self.l1.touch(address >> self._line_shift, cycle)
 
     # ------------------------------------------------------------------
     # Coherence / observation
@@ -200,9 +205,10 @@ class MemoryHierarchy:
     def residency(self, address: int) -> Optional[int]:
         """The innermost level holding ``address``'s line, or None.
 
-        Non-mutating; used by the attack observer and tests.
+        Non-mutating; used by the core's prefetch filter, the attack
+        observer and tests.
         """
-        line = self.line_address(address)
+        line = address >> self._line_shift
         for number, level in enumerate(self._levels, start=1):
             if level.lookup(line):
                 return number

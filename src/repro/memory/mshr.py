@@ -31,6 +31,9 @@ class MSHRFile:
         self._ready_heap: List[Tuple[int, int]] = []
 
     def _expire(self, cycle: int) -> None:
+        # Every access asks, and usually nothing is due: the per-access
+        # methods test the heap head themselves and call this only when
+        # an entry completes.
         heap = self._ready_heap
         outstanding = self._outstanding
         while heap and heap[0][0] <= cycle:
@@ -38,14 +41,20 @@ class MSHRFile:
             if outstanding.get(line) == ready:
                 del outstanding[line]
 
+    # repro: hot
     def outstanding_completion(self, line: int, cycle: int) -> Optional[int]:
         """If ``line`` has a miss in flight, its completion cycle."""
-        self._expire(cycle)
+        heap = self._ready_heap
+        if heap and heap[0][0] <= cycle:
+            self._expire(cycle)
         return self._outstanding.get(line)
 
+    # repro: hot
     def can_allocate(self, cycle: int) -> bool:
         """Is a free entry available this cycle?"""
-        self._expire(cycle)
+        heap = self._ready_heap
+        if heap and heap[0][0] <= cycle:
+            self._expire(cycle)
         return len(self._outstanding) < self.entries
 
     def next_free(self, cycle: int) -> Optional[int]:
@@ -61,18 +70,24 @@ class MSHRFile:
             return None
         return min(self._outstanding.values())
 
+    # repro: hot
     def allocate(self, line: int, completion: int, cycle: int) -> None:
         """Reserve an entry until ``completion``.
 
         Callers must check :meth:`can_allocate` (or be coalescing) first.
         """
-        self._expire(cycle)
-        if line not in self._outstanding and len(self._outstanding) >= self.entries:
-            raise StructuralHazardError("MSHR allocation without a free entry")
-        existing = self._outstanding.get(line)
-        if existing is None or completion < existing:
-            self._outstanding[line] = completion
-            heappush(self._ready_heap, (completion, line))
+        heap = self._ready_heap
+        if heap and heap[0][0] <= cycle:
+            self._expire(cycle)
+        outstanding = self._outstanding
+        existing = outstanding.get(line)
+        if existing is None:
+            if len(outstanding) >= self.entries:
+                raise StructuralHazardError("MSHR allocation without a free entry")
+        elif completion >= existing:
+            return
+        outstanding[line] = completion
+        heappush(heap, (completion, line))
 
     def in_flight(self, cycle: int) -> int:
         """Number of outstanding misses at ``cycle``."""

@@ -289,6 +289,11 @@ class Core:
         forward_retry = self._forward_retry
         prefetch_queue = self._prefetch_queue
         engine = self.engine
+        if engine is not None:
+            dl_candidates = engine.candidates
+            issue_spare = engine.issue_spare
+        else:
+            dl_candidates = issue_spare = None
         checker = self.invariant_checker
         load_ports = self._load_ports
         phases = (self._writeback, self._process_frontier, self._commit,
@@ -328,8 +333,8 @@ class Core:
             ports = load_ports
             if every or mem_queue or mem_retry or forward_retry:
                 ports = schedule_memory(now, ports)
-            if engine is not None and (every or engine.has_candidates()):
-                ports = engine.issue_spare(ports, now)
+            if issue_spare is not None and (every or dl_candidates):
+                ports = issue_spare(ports, now)
             if every or (prefetch_queue and ports > 0):
                 issue_prefetches(now, ports)
             if every or (
@@ -365,6 +370,7 @@ class Core:
             # independent of idle skipping.
             stats.cycles = self._last_step_cycle + 1
 
+    # repro: hot
     def _next_cycle(self, now: int) -> int:
         """``now + 1``, or a jump to the next timed event when idle.
 
@@ -380,12 +386,13 @@ class Core:
         """
         if not self._idle_skip:
             return now + 1
+        engine = self.engine
         if (
             self._ready
             or self._mem_queue
             or self._forward_retry
             or self._prefetch_queue
-            or (self.engine is not None and self.engine.has_candidates())
+            or (engine is not None and engine.candidates)
         ):
             return now + 1
         waiters = self._frontier_waiters
@@ -394,31 +401,32 @@ class Core:
             # resolution) unlocks at most one layer per step; an already-
             # eligible waiter means next step has work at now + 1.
             return now + 1
-        if self.rob and self.rob[0].completed:
+        rob = self.rob
+        if rob and rob[0].state in (2, 3):  # head completed
             return now + 1
-        if not self._dispatch_blocked(now):
-            return now + 1
+        fetch_halted = self.fetch_halted
+        stalled_until = self.fetch_stalled_until
+        if not (
+            fetch_halted
+            or now + 1 < stalled_until
+            or len(rob) >= self._rob_entries
+            or self.iq_count >= self._iq_entries
+        ):
+            return now + 1  # dispatch fetches at now + 1
         candidates = []
-        if self._event_cycles:
-            candidates.append(self._event_cycles[0])
+        event_cycles = self._event_cycles
+        if event_cycles:
+            candidates.append(event_cycles[0])
         if self._mem_retry:
             wake = self.hierarchy.mshrs.next_free(now)
             if wake is None:
                 return now + 1  # an entry is already free; retry next cycle
             candidates.append(wake)
-        if not self.fetch_halted and self.fetch_stalled_until > now:
-            candidates.append(self.fetch_stalled_until)
+        if not fetch_halted and stalled_until > now:
+            candidates.append(stalled_until)
         if not candidates:
             return now + 1
         return max(now + 1, min(candidates))
-
-    def _dispatch_blocked(self, now: int) -> bool:
-        if self.fetch_halted or now + 1 < self.fetch_stalled_until:
-            return True
-        return (
-            len(self.rob) >= self._rob_entries
-            or self.iq_count >= self._iq_entries
-        )
 
     def inject_invalidation(self, address: int) -> None:
         """Model an external coherence invalidation reaching this core.
@@ -542,7 +550,13 @@ class Core:
             self.stride.train_commit(load.pc, load.address)
         if self.engine is not None:
             self.engine.on_address_resolved(load, now)
-        if not (load.has_doppelganger and load.dl_correct):
+        # Slot and field reads of ``has_doppelganger and dl_correct``: a
+        # verified-correct preload, not cancelled, supplies the value.
+        if not (
+            load.dl_correct
+            and load.dl_predicted_address is not None
+            and not load.dl_cancelled
+        ):
             heappush(self._mem_queue, (load.seq, load))
 
     # repro: hot
@@ -680,7 +694,8 @@ class Core:
         frontier = self.shadows.frontier()
         while waiters and waiters[0][0] <= frontier:
             _, _, reason, uop = heappop(waiters)
-            if uop.state == 4:  # squashed
+            state = uop.state
+            if state == 4:  # squashed
                 continue
             if reason == _W_UNLOCK:
                 self._notify_waiters(uop)
@@ -688,13 +703,14 @@ class Core:
                 if uop.in_iq:
                     self._push_ready(uop)
             elif reason == _W_MEM:
-                if not uop.executed and (not uop.completed or uop.vp_active):
+                # state < 2: not yet completed
+                if not uop.executed and (state < 2 or uop.vp_active):
                     self._push_mem(uop)
             elif reason == _W_BRANCH:
                 if not uop.branch_resolved:
                     self._resolve_branch(uop, now)
             else:  # _W_DL
-                if not uop.executed and not uop.completed:
+                if not uop.executed and state < 2:
                     self._schedule(
                         max(uop.dl_completion_cycle, now + 1), _EV_DL, uop
                     )
@@ -714,7 +730,7 @@ class Core:
         stores_left = self._store_ports
         stats = self.stats
         rename = self.rename
-        arch_write = self.arch.write_reg
+        registers = self.arch.registers
         observer = self.observer
         step_count = self._step_count
         committed = 0
@@ -737,10 +753,10 @@ class Core:
                 observer.on_commit(uop, now)
             width -= 1
             committed += 1
-            inst = uop.inst
-            if inst.writes:
-                rd = inst.rd
-                arch_write(rd, uop.result or 0)
+            dec = uop.dec
+            if dec[2]:  # writes rd, never r0: ArchState.write_reg's store
+                rd = dec[3]
+                registers[rd] = (uop.result or 0) & ((1 << 64) - 1)
                 if rename.get(rd) is uop:
                     del rename[rd]
             if kind == KIND_ALU:
@@ -842,20 +858,12 @@ class Core:
     def _push_mem(self, load: MicroOp) -> None:
         heapq.heappush(self._mem_queue, (load.seq, load))
 
-    def _source_blocked(self, producer: Optional[MicroOp]) -> bool:
-        if producer is None:
-            return False
-        state = producer.state
-        if state == 3:  # committed
-            return False
-        if state < 2:  # not yet completed
-            return True
-        if not self._gates_values:
-            return False
-        return self.scheme.value_block_seq(producer) != READY
-
     def _operand_taint(self, uop: MicroOp) -> int:
-        taint = self._address_taint(uop)
+        """The larger live taint of both source producers (STT)."""
+        taint = UNTAINTED
+        producer = uop.src1_uop
+        if producer is not None and producer.state != 3:
+            taint = producer.taint
         producer = uop.src2_uop
         if producer is not None and producer.state != 3 and producer.taint > taint:
             taint = producer.taint
@@ -870,8 +878,10 @@ class Core:
 
     # repro: hot
     def _issue(self, now: int) -> None:
-        width = self._issue_width
         ready = self._ready
+        if not ready:
+            return
+        width = self._issue_width
         scheme = self.scheme
         gates_stores = self._gates_stores
         uses_taint = self._uses_taint
@@ -981,23 +991,27 @@ class Core:
     # ==================================================================
     # repro: hot
     def _schedule_memory(self, now: int, ports: int) -> int:
-        if self._forward_retry:
-            for load in self._forward_retry:
+        queue = self._mem_queue
+        forward_retry = self._forward_retry
+        if forward_retry:
+            for load in forward_retry:
                 if load.state != 4:
-                    self._push_mem(load)
-            self._forward_retry.clear()
-        if self._mem_retry and self.hierarchy.mshrs.can_allocate(now):
+                    heappush(queue, (load.seq, load))
+            forward_retry.clear()
+        mem_retry = self._mem_retry
+        if mem_retry and self.hierarchy.mshrs.can_allocate(now):
             # MSHR-starved loads re-attempt only once an entry has actually
             # freed: the gate keeps the per-attempt access/stall counters
             # from inflating with the polling rate, and — because the first
             # free cycle is a pure function of the MSHR file — re-attempts
             # land on the same cycles whether or not the idle stretch in
             # between was skipped.
-            for load in self._mem_retry:
+            for load in mem_retry:
                 if load.state != 4:
-                    self._push_mem(load)
-            self._mem_retry.clear()
-        queue = self._mem_queue
+                    heappush(queue, (load.seq, load))
+            mem_retry.clear()
+        if ports <= 0 or not queue:
+            return ports
         scheme = self.scheme
         gates_loads = self._gates_loads
         uses_probe = self._uses_probe
@@ -1022,7 +1036,7 @@ class Core:
                     continue
             store = self._youngest_matching_store(load)
             if store is not None and not store.store_data_ready:
-                self._forward_retry.append(load)
+                forward_retry.append(load)
                 continue
             ports -= 1
             if store is not None:
@@ -1048,7 +1062,7 @@ class Core:
                 continue
             result = hierarchy_access(load.address, now)
             if result.retry:
-                self._mem_retry.append(load)
+                mem_retry.append(load)
                 continue
             if load.dom_delayed:
                 stats.dom_reissued_loads += 1
@@ -1123,29 +1137,34 @@ class Core:
     def _dispatch(self, now: int) -> None:
         if self.fetch_halted or now < self.fetch_stalled_until:
             return
-        rob, lq, sq = self.rob, self.lq, self.sq
+        rob = self.rob
+        rob_entries = self._rob_entries
+        iq_count = self.iq_count
+        iq_entries = self._iq_entries
+        if len(rob) >= rob_entries or iq_count >= iq_entries:
+            return  # the window is full: nothing to fetch this cycle
+        lq, sq = self.lq, self.sq
         entries = self._dec_entries
         length = self._dec_len
         rename = self.rename
-        arch_read = self.arch.read_reg
+        rename_get = rename.get
+        registers = self.arch.registers
         bpred = self.bpred
         engine = self.engine
-        scheme = self.scheme
+        value_block_seq = self.scheme.value_block_seq
         shadows = self.shadows
         track_shadows = self._track_shadows
         gates_values = self._gates_values
         observer = self.observer
         ready = self._ready
-        rob_entries = self._rob_entries
-        iq_entries = self._iq_entries
         lq_entries = self._lq_entries
         sq_entries = self._sq_entries
         pc = self.fetch_pc
-        seq = self.next_seq
-        iq_count = self.iq_count
-        fetched = 0
-        for _ in range(self._decode_width):
-            if len(rob) >= rob_entries or iq_count >= iq_entries:
+        first_seq = seq = self.next_seq
+        # Every uop takes one ROB entry, so the ROB's room bounds the
+        # group; only the IQ needs a test per uop.
+        for _ in range(min(self._decode_width, rob_entries - len(rob))):
+            if iq_count >= iq_entries:
                 break
             if pc < 0 or pc >= length:
                 # Fetch ran past the program (wrong path); a
@@ -1160,117 +1179,84 @@ class Core:
             elif kind == KIND_STORE:
                 if len(sq) >= sq_entries:
                     break
-            inst = dec[0]
-            uop = MicroOp(seq, pc, inst, now)
-            uop.dec = dec
-            seq += 1
-            fetched += 1
-            if observer is not None:
-                observer.on_dispatch(uop, now)
-            uop.bp_history = bpred.history
-            # --- rename sources (ren1/ren2: decoded rs1/rs2, None for r0) ---
-            ren1 = dec[4]
-            if ren1 is not None:
-                producer = rename.get(ren1)
-                if producer is not None:
-                    uop.src1_uop = producer
-                else:
-                    uop.src1_value = arch_read(ren1)
-            ren2 = dec[5]
-            if ren2 is not None:
-                producer = rename.get(ren2)
-                if producer is not None:
-                    uop.src2_uop = producer
-                else:
-                    uop.src2_value = arch_read(ren2)
+            # --- rename sources (ren1/ren2: decoded rs1/rs2, None for r0,
+            # so a register read needs no r0 test) ---
+            src1 = src2 = None
+            value1 = value2 = 0
+            ren = dec[4]
+            if ren is not None:
+                src1 = rename_get(ren)
+                if src1 is None:
+                    value1 = registers[ren]
+            ren = dec[5]
+            if ren is not None:
+                src2 = rename_get(ren)
+                if src2 is None:
+                    value2 = registers[ren]
             if dec[2]:  # writes: rename the destination
                 rd = dec[3]
-                uop.prev_producer = rename.get(rd)
-                uop.had_prev_producer = uop.prev_producer is not None
+                uop = MicroOp(seq, pc, dec, now, bpred.history, src1, value1,
+                              src2, value2, rename_get(rd))
                 rename[rd] = uop
+            else:
+                uop = MicroOp(seq, pc, dec, now, bpred.history, src1, value1,
+                              src2, value2)
+            if observer is not None:
+                observer.on_dispatch(uop, now)
             rob.append(uop)
             next_pc = pc + 1
             taken_transfer = False
-            if kind == KIND_ALU or kind == KIND_CBRANCH:
+            if kind <= KIND_CBRANCH:  # ALU, load, store, branch: the IQ
                 if kind == KIND_CBRANCH:
                     if track_shadows:
-                        shadows.branch_dispatched(seq - 1)
-                    uop.predicted_taken = bpred.predict(pc)
-                    if uop.predicted_taken:
+                        shadows.branch_dispatched(seq)
+                    taken = bpred.predict(pc)
+                    uop.predicted_taken = taken
+                    if taken:
                         next_pc = dec[6]
                         taken_transfer = True
-                # --- enter IQ waiting on both sources ---
-                uop.in_iq = True
-                iq_count += 1
-                waits = 0
-                producer = uop.src1_uop
-                if producer is not None:
-                    pstate = producer.state
-                    if pstate != 3 and (
-                        pstate < 2
-                        or (
-                            gates_values
-                            and scheme.value_block_seq(producer) != READY
-                        )
-                    ):
-                        if producer.waiters is None:
-                            producer.waiters = [(uop, _K_ISSUE)]
-                        else:
-                            producer.waiters.append((uop, _K_ISSUE))
-                        waits = 1
-                producer = uop.src2_uop
-                if producer is not None:
-                    pstate = producer.state
-                    if pstate != 3 and (
-                        pstate < 2
-                        or (
-                            gates_values
-                            and scheme.value_block_seq(producer) != READY
-                        )
-                    ):
-                        if producer.waiters is None:
-                            producer.waiters = [(uop, _K_ISSUE)]
-                        else:
-                            producer.waiters.append((uop, _K_ISSUE))
-                        waits += 1
-                uop.wait_count = waits
-                if waits == 0:
-                    uop.in_ready = True
-                    heappush(ready, (uop.seq, uop))
-            elif kind == KIND_LOAD or kind == KIND_STORE:
-                # Memory ops wait on the address operand (rs1) only.
-                if kind == KIND_LOAD:
+                elif kind == KIND_LOAD:
                     lq.append(uop)
-                else:
+                elif kind == KIND_STORE:
                     sq.append(uop)
                     if track_shadows:
-                        shadows.store_dispatched(seq - 1)
+                        shadows.store_dispatched(seq)
+                # --- enter the IQ, waiting on the producers rename found:
+                # a memory op on its address operand (rs1) only ---
                 uop.in_iq = True
                 iq_count += 1
-                producer = uop.src1_uop
                 waits = 0
-                if producer is not None:
-                    pstate = producer.state
+                if src1 is not None:
+                    pstate = src1.state
                     if pstate != 3 and (
                         pstate < 2
-                        or (
-                            gates_values
-                            and scheme.value_block_seq(producer) != READY
-                        )
+                        or (gates_values and value_block_seq(src1) != READY)
                     ):
-                        if producer.waiters is None:
-                            producer.waiters = [(uop, _K_ISSUE)]
+                        if src1.waiters is None:
+                            src1.waiters = [(uop, _K_ISSUE)]
                         else:
-                            producer.waiters.append((uop, _K_ISSUE))
+                            src1.waiters.append((uop, _K_ISSUE))
                         waits = 1
-                uop.wait_count = waits
-                if waits == 0:
+                if src2 is not None and (kind == KIND_ALU or kind == KIND_CBRANCH):
+                    pstate = src2.state
+                    if pstate != 3 and (
+                        pstate < 2
+                        or (gates_values and value_block_seq(src2) != READY)
+                    ):
+                        if src2.waiters is None:
+                            src2.waiters = [(uop, _K_ISSUE)]
+                        else:
+                            src2.waiters.append((uop, _K_ISSUE))
+                        waits += 1
+                if waits:
+                    uop.wait_count = waits
+                else:
                     uop.in_ready = True
-                    heappush(ready, (uop.seq, uop))
+                    heappush(ready, (seq, uop))
                 if kind == KIND_LOAD:
                     if engine is not None:
                         engine.on_dispatch(uop)
-                else:
+                elif kind == KIND_STORE:
                     self._bind_store_data(uop)
             elif kind == KIND_JMP:
                 uop.actual_taken = uop.predicted_taken = True
@@ -1280,18 +1266,20 @@ class Core:
                 taken_transfer = True
             elif kind == KIND_HALT:
                 self._complete(uop)
+                seq += 1
                 pc = next_pc
                 self.fetch_halted = True
                 break
             else:  # NOP
                 self._complete(uop)
+            seq += 1
             pc = next_pc
             if taken_transfer:
                 break  # one taken control transfer per fetch group
-        if fetched:
+        if seq != first_seq:
             self.next_seq = seq
             self.iq_count = iq_count
-            self.stats.fetched_instructions += fetched
+            self.stats.fetched_instructions += seq - first_seq
         self.fetch_pc = pc
 
     def _bind_store_data(self, store: MicroOp) -> None:
@@ -1299,17 +1287,26 @@ class Core:
         if producer is None:
             store.result = store.src2_value
             store.store_data_ready = True
-        elif not self._source_blocked(producer):
+            return
+        state = producer.state
+        if state == 3 or (
+            state >= 2
+            and not (
+                self._gates_values
+                and self.scheme.value_block_seq(producer) != READY
+            )
+        ):  # committed, or completed and readable
             store.result = producer.result or 0
             store.store_data_ready = True
+        elif producer.waiters is None:
+            producer.waiters = [(store, _K_STORE_DATA)]
         else:
-            if producer.waiters is None:
-                producer.waiters = []
             producer.waiters.append((store, _K_STORE_DATA))
 
     # ==================================================================
     # Squash
     # ==================================================================
+    # repro: hot
     def _squash_from(
         self,
         boundary_seq: int,
@@ -1319,47 +1316,55 @@ class Core:
     ) -> None:
         """Squash everything younger than ``boundary_seq`` and refetch."""
         rob = self.rob
-        rename = self.rename
-        track_shadows = self._track_shadows
-        squashed = 0
-        while rob and rob[-1].seq > boundary_seq:
-            uop = rob.pop()
-            uop.state = 4  # STATE_SQUASHED
-            # A squashed uop never completes, so nothing reads its waiters;
-            # each holds a consumer whose source link points back here.
-            uop.waiters = None
-            squashed += 1
-            if self.observer is not None:
-                self.observer.on_squash(uop, self.cycle)
-            if uop.in_iq:
-                uop.in_iq = False
-                self.iq_count -= 1
-            inst = uop.inst
-            kind = uop.kind
-            if inst.writes and rename.get(inst.rd) is uop:
-                # Restore the shadowed producer, unless it has already
-                # committed — its value lives in the architectural file
-                # now, and re-inserting it would leave the map holding a
-                # stale reference past retirement.
-                prev = uop.prev_producer
-                if prev is not None and prev.state != 3:
-                    rename[inst.rd] = prev
-                else:
-                    del rename[inst.rd]
-            if kind == KIND_CBRANCH:
-                if track_shadows and not uop.branch_resolved:
-                    self.shadows.caster_squashed(uop.seq, is_branch=True)
-            elif kind == KIND_STORE:
-                if track_shadows and not uop.address_ready:
-                    self.shadows.caster_squashed(uop.seq, is_branch=False)
-                if uop.address_ready:
-                    self._index_remove(self._sq_index, uop)
-            elif kind == KIND_LOAD:
-                if uop.address_ready:
-                    self._index_remove(self._lq_index, uop)
-                if self.engine is not None:
-                    self.engine.on_squash(uop)
-        if squashed:
+        if rob and rob[-1].seq > boundary_seq:
+            rename = self.rename
+            track_shadows = self._track_shadows
+            caster_squashed = self.shadows.caster_squashed
+            observer = self.observer
+            engine = self.engine
+            cycle = self.cycle
+            squashed = 0
+            while rob and rob[-1].seq > boundary_seq:
+                uop = rob.pop()
+                uop.state = 4  # STATE_SQUASHED
+                # A squashed uop never completes, so nothing reads its
+                # waiters; each holds a consumer whose source link points
+                # back here.
+                uop.waiters = None
+                squashed += 1
+                if observer is not None:
+                    observer.on_squash(uop, cycle)
+                if uop.in_iq:
+                    uop.in_iq = False
+                    self.iq_count -= 1
+                dec = uop.dec
+                kind = dec[1]
+                if dec[2]:  # writes
+                    rd = dec[3]
+                    if rename.get(rd) is uop:
+                        # Restore the shadowed producer, unless it has
+                        # already committed — its value lives in the
+                        # architectural file now, and re-inserting it
+                        # would leave the map holding a stale reference
+                        # past retirement.
+                        prev = uop.prev_producer
+                        if prev is not None and prev.state != 3:
+                            rename[rd] = prev
+                        else:
+                            del rename[rd]
+                if kind == KIND_CBRANCH:
+                    if track_shadows and not uop.branch_resolved:
+                        caster_squashed(uop.seq, is_branch=True)
+                elif kind == KIND_STORE:
+                    if track_shadows and not uop.address_ready:
+                        caster_squashed(uop.seq, is_branch=False)
+                    if uop.address_ready:
+                        self._index_remove(self._sq_index, uop)
+                elif kind == KIND_LOAD:
+                    if uop.address_ready:
+                        self._index_remove(self._lq_index, uop)
+                    if engine is not None:
+                        engine.on_squash(uop)
             self.stats.squashed_instructions += squashed
             self._prune(self.lq)
             self._prune(self.sq)
@@ -1371,7 +1376,7 @@ class Core:
 
     @staticmethod
     def _prune(queue: Deque[MicroOp]) -> None:
-        while queue and queue[-1].squashed:
+        while queue and queue[-1].state == 4:  # squashed
             queue.pop()
 
     def _has_incomplete_older_load(self, load: MicroOp) -> bool:

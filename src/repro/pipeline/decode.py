@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.common.config import SystemConfig
+from repro.common.config import SystemConfig, default_config
 from repro.isa.instructions import Instruction, KIND_ALU, KIND_CBRANCH
 from repro.isa.program import Program
 
@@ -44,29 +44,36 @@ DecodedEntry = Tuple[
 _CACHE_CAPACITY = 128
 
 
+def decode_instruction(
+    inst: Instruction, config: Optional[SystemConfig] = None
+) -> DecodedEntry:
+    """The decoded entry of one instruction under ``config`` (the default
+    configuration when None): what a :class:`DecodedProgram` holds for it
+    and what :class:`~repro.pipeline.uop.MicroOp` is built from."""
+    core = (config if config is not None else default_config()).core
+    kind = inst.kind
+    return (
+        inst, kind, inst.writes, inst.rd,
+        inst.rs1 if inst.rs1 else None,
+        inst.rs2 if inst.rs2 else None,
+        inst.imm,
+        core.mul_latency if inst.is_mul else core.alu_latency,
+        inst.alu_fn if kind == KIND_ALU else None,
+        inst.branch_fn if kind == KIND_CBRANCH else None,
+        inst.rs2 is None,
+    )
+
+
 class DecodedProgram:
     """Immutable per-program decode table, indexed by pc."""
 
     __slots__ = ("entries", "length")
 
     def __init__(self, program: Program, config: SystemConfig) -> None:
-        alu_latency = config.core.alu_latency
-        mul_latency = config.core.mul_latency
-        entries = []
-        for inst in program.instructions:
-            kind = inst.kind
-            ren1 = inst.rs1 if inst.rs1 else None
-            ren2 = inst.rs2 if inst.rs2 else None
-            latency = mul_latency if inst.is_mul else alu_latency
-            entries.append((
-                inst, kind, inst.writes, inst.rd, ren1, ren2, inst.imm,
-                latency,
-                inst.alu_fn if kind == KIND_ALU else None,
-                inst.branch_fn if kind == KIND_CBRANCH else None,
-                inst.rs2 is None,
-            ))
-        self.entries: Tuple[DecodedEntry, ...] = tuple(entries)
-        self.length = len(entries)
+        self.entries: Tuple[DecodedEntry, ...] = tuple(
+            decode_instruction(inst, config) for inst in program.instructions
+        )
+        self.length = len(self.entries)
 
 
 def _program_key(program: Program) -> Tuple:

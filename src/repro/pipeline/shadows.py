@@ -47,26 +47,26 @@ class _CasterQueue:
         self.oldest_seq = INFINITE_SEQ
 
     def add(self, seq: int) -> None:
-        if self._queue and seq <= self._queue[-1]:
-            raise StructuralHazardError(
-                "shadow casters must be added in sequence order"
-            )
-        if not self._queue:
+        queue = self._queue
+        if queue:
+            if seq <= queue[-1]:
+                raise StructuralHazardError(
+                    "shadow casters must be added in sequence order"
+                )
+        else:
             self.oldest_seq = seq
-        self._queue.append(seq)
+        queue.append(seq)
         self._live += 1
 
     def remove(self, seq: int) -> None:
         """Mark ``seq`` resolved (or squashed).  Idempotent."""
-        if seq in self._removed:
-            return
-        self._removed.add(seq)
-        self._live -= 1
-        self._compact()
-
-    def _compact(self) -> None:
-        queue = self._queue
         removed = self._removed
+        if seq in removed:
+            return
+        removed.add(seq)
+        self._live -= 1
+        # Drop resolved entries from the head so it is the oldest live one.
+        queue = self._queue
         while queue and queue[0] in removed:
             removed.discard(queue.popleft())
         self.oldest_seq = queue[0] if queue else INFINITE_SEQ
@@ -92,22 +92,20 @@ class ShadowTracker:
     def __init__(self) -> None:
         self._branches = _CasterQueue()
         self._stores = _CasterQueue()
+        # Caster lifecycle, called by the core.  Each entry point is the
+        # caster queue's own bound method, so dispatching or resolving a
+        # caster costs one call (the queues are cleared, never rebound):
+        # ``branch_dispatched(seq)`` / ``store_dispatched(seq)`` enter a
+        # caster in sequence order; ``branch_resolved(seq)`` /
+        # ``store_address_resolved(seq)`` retire it, idempotently.
+        self.branch_dispatched = self._branches.add
+        self.branch_resolved = self._branches.remove
+        self.store_dispatched = self._stores.add
+        self.store_address_resolved = self._stores.remove
 
     # ------------------------------------------------------------------
     # Caster lifecycle (called by the core)
     # ------------------------------------------------------------------
-    def branch_dispatched(self, seq: int) -> None:
-        self._branches.add(seq)
-
-    def branch_resolved(self, seq: int) -> None:
-        self._branches.remove(seq)
-
-    def store_dispatched(self, seq: int) -> None:
-        self._stores.add(seq)
-
-    def store_address_resolved(self, seq: int) -> None:
-        self._stores.remove(seq)
-
     def caster_squashed(self, seq: int, is_branch: bool) -> None:
         if is_branch:
             self._branches.remove(seq)

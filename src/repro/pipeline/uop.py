@@ -20,16 +20,20 @@ throughput.  The layout is a hybrid:
   which is semantically identical to eager initialization because every
   default is immutable (ints, bools, None).
 
-This cuts ``__init__`` from forty-one attribute stores to twenty-five
-while keeping slot-speed access for the hot fields.
+Dispatch builds each uop once, with its final fields: the constructor
+takes the decoded entry (:mod:`repro.pipeline.decode`), the branch
+history and the renamed sources, so dispatch writes no field a second
+time: it only records what happens next (entering the issue queue, a
+wakeup wait, a branch prediction).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.isa.instructions import Instruction
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.pipeline.decode import DecodedEntry
 
 UNTAINTED = -1
 """Taint value meaning "not derived from any speculative load"."""
@@ -85,14 +89,12 @@ class MicroOp:
         "state",
         "dispatch_cycle",
         "issue_cycle",
-        "completion_cycle",
         # Renamed sources: producing MicroOp or a snapshotted value.
         "src1_uop",
         "src1_value",
         "src2_uop",
         "src2_value",
         "prev_producer",
-        "had_prev_producer",
         # Results
         "result",
         # Taint (STT): max sequence number of any speculative root load.
@@ -138,22 +140,41 @@ class MicroOp:
     vp_active = False
     vp_real_value = 0
 
-    def __init__(self, seq: int, pc: int, inst: Instruction, cycle: int):
+    # repro: hot
+    def __init__(
+        self,
+        seq: int,
+        pc: int,
+        dec: "DecodedEntry",
+        cycle: int,
+        bp_history: int = 0,
+        src1_uop: Optional["MicroOp"] = None,
+        src1_value: int = 0,
+        src2_uop: Optional["MicroOp"] = None,
+        src2_value: int = 0,
+        prev_producer: Optional["MicroOp"] = None,
+    ):
+        """One dynamic instance of the decoded instruction ``dec``.
+
+        ``srcN_uop`` is the in-flight producer rename found for source N;
+        without one, ``srcN_value`` is the value read at rename.
+        ``prev_producer`` is the producer the destination's rename
+        shadowed (restored on a squash), ``bp_history`` the branch
+        history at fetch.
+        """
         self.seq = seq
         self.pc = pc
-        self.inst = inst
-        self.kind = inst.kind
-        self.dec = None  # decoded entry tuple, set by dispatch
+        self.dec = dec
+        self.inst = dec[0]
+        self.kind = dec[1]
         self.state = STATE_DISPATCHED
         self.dispatch_cycle = cycle
         self.issue_cycle = -1
-        self.completion_cycle = -1
-        self.src1_uop: Optional["MicroOp"] = None
-        self.src1_value = 0
-        self.src2_uop: Optional["MicroOp"] = None
-        self.src2_value = 0
-        self.prev_producer: Optional["MicroOp"] = None
-        self.had_prev_producer = False
+        self.src1_uop = src1_uop
+        self.src1_value = src1_value
+        self.src2_uop = src2_uop
+        self.src2_value = src2_value
+        self.prev_producer = prev_producer
         self.result: Optional[int] = None
         self.taint = UNTAINTED
         self.waiters: Optional[list] = None
@@ -164,7 +185,7 @@ class MicroOp:
         self.address_ready = False
         self.executed = False
         self.forward_source_seq = NO_FORWARD
-        self.bp_history = 0
+        self.bp_history = bp_history
 
     # ------------------------------------------------------------------
     # State predicates

@@ -27,15 +27,16 @@ class GShareBranchPredictor:
         self.predictions = 0
         self.mispredictions = 0
 
-    def _index(self, pc: int, history: int) -> int:
-        return (pc ^ history) & self._mask
-
+    # The table index is ``(pc ^ history) & mask``, written out in both
+    # predict and train: each runs once per conditional branch.
+    # repro: hot
     def predict(self, pc: int) -> bool:
         """Predict the direction of the branch at ``pc`` and speculatively
         update the history register (the caller snapshots/restores it)."""
-        taken = self._counters[self._index(pc, self.history)] >= 2
+        history = self.history
+        taken = self._counters[(pc ^ history) & self._mask] >= 2
         self.predictions += 1
-        self.history = ((self.history << 1) | int(taken)) & self._history_mask
+        self.history = ((history << 1) | taken) & self._history_mask
         return taken
 
     def snapshot_history(self) -> int:
@@ -45,16 +46,18 @@ class GShareBranchPredictor:
         """Roll history back to the snapshot and append the real outcome."""
         self.history = ((snapshot << 1) | int(actual_taken)) & self._history_mask
 
+    # repro: hot
     def train(self, pc: int, taken: bool, history_at_predict: int) -> None:
         """Commit-time training with the history that indexed the prediction."""
-        index = self._index(pc, history_at_predict)
-        counter = self._counters[index]
+        counters = self._counters
+        index = (pc ^ history_at_predict) & self._mask
+        counter = counters[index]
         if taken:
             if counter < 3:
-                self._counters[index] = counter + 1
+                counters[index] = counter + 1
         else:
             if counter > 0:
-                self._counters[index] = counter - 1
+                counters[index] = counter - 1
 
     def record_mispredict(self) -> None:
         self.mispredictions += 1

@@ -52,6 +52,10 @@ class StrideTable:
         # lookup on the hot predict/train paths while _allocate keeps the
         # two views in sync.
         self._index: Dict[int, StrideEntry] = {}
+        # The live entry for a pc, or None (the doppelganger engine's
+        # dispatch lookup, tests and debugging): the index's own ``get``,
+        # a C call.  ``_index`` is never rebound.
+        self.entry_for = self._index.get
         self._clock = 0
         self.trainings = 0
         self.predictions_made = 0
@@ -59,12 +63,10 @@ class StrideTable:
     def _set_for(self, pc: int) -> List[Optional[StrideEntry]]:
         return self._sets[pc % self.num_sets]
 
-    def _find(self, pc: int) -> Optional[StrideEntry]:
-        return self._index.get(pc)
-
     # ------------------------------------------------------------------
     # Training (commit only!)
     # ------------------------------------------------------------------
+    # repro: hot
     def train_commit(self, pc: int, address: int) -> None:
         """Observe a committed load's (pc, address) pair.
 
@@ -74,7 +76,7 @@ class StrideTable:
         """
         self._clock += 1
         self.trainings += 1
-        entry = self._find(pc)
+        entry = self._index.get(pc)
         if entry is None:
             self._allocate(pc, address)
             return
@@ -112,7 +114,7 @@ class StrideTable:
     def predict_current(self, pc: int) -> Optional[int]:
         """Predict the address of the *current* instance of the load at
         ``pc``, or None when confidence is below threshold / PC unknown."""
-        entry = self._find(pc)
+        entry = self._index.get(pc)
         if entry is None or entry.confidence < self.config.confidence_threshold:
             return None
         self.predictions_made += 1
@@ -123,7 +125,7 @@ class StrideTable:
     # ------------------------------------------------------------------
     def prefetch_candidates(self, pc: int, resolved_address: int) -> List[int]:
         """Future-instance addresses to prefetch after a demand access."""
-        entry = self._find(pc)
+        entry = self._index.get(pc)
         if (
             entry is None
             or entry.stride == 0
@@ -139,10 +141,6 @@ class StrideTable:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def entry_for(self, pc: int) -> Optional[StrideEntry]:
-        """The live entry for ``pc`` (tests and debugging)."""
-        return self._find(pc)
-
     def occupancy(self) -> int:
         return sum(
             1 for ways in self._sets for entry in ways if entry is not None
@@ -170,7 +168,7 @@ class TwoDeltaStrideTable(StrideTable):
     def train_commit(self, pc: int, address: int) -> None:
         self._clock += 1
         self.trainings += 1
-        entry = self._find(pc)
+        entry = self._index.get(pc)
         if entry is None:
             self._allocate(pc, address)
             return

@@ -46,12 +46,14 @@ class DelayOnMiss(SecureScheme):
         # which exists solely to close the doppelganger implicit channel.
         self.gates_branches = address_prediction
 
+    # Each hook reads the frontier directly (``frontier() < seq`` is
+    # ``is_speculative(seq)``): they run once per load or branch.
     def load_is_probe(self, load: MicroOp) -> bool:
-        return self.shadows.is_speculative(load.seq)
+        return self.shadows.frontier() < load.seq
 
     def load_block_seq(self, load: MicroOp) -> int:
         # A delayed (probe-missed) load waits for its visibility point.
-        if load.dom_delayed and self.shadows.is_speculative(load.seq):
+        if load.dom_delayed and self.shadows.frontier() < load.seq:
             return load.seq
         # The real load of a mispredicted doppelganger is delayed until
         # non-speculative (paper §5.3) — issuing it earlier would let the
@@ -61,7 +63,7 @@ class DelayOnMiss(SecureScheme):
             and load.dl_verified
             and not load.dl_correct
             and not load.dl_cancelled
-            and self.shadows.is_speculative(load.seq)
+            and self.shadows.frontier() < load.seq
         ):
             return load.seq
         return READY
@@ -71,7 +73,7 @@ class DelayOnMiss(SecureScheme):
             return READY
         # In-order branch resolution: only once the branch itself is no
         # longer covered by an older shadow (paper §4.6).
-        if self.shadows.is_speculative(branch.seq):
+        if self.shadows.frontier() < branch.seq:
             return branch.seq
         return READY
 

@@ -32,13 +32,17 @@ class NDAPermissive(SecureScheme):
     name = "nda"
     blocks_spec_taint = True  # the value lock below
 
+    # repro: hot
     def value_block_seq(self, producer: MicroOp) -> int:
-        if not producer.is_load:
+        # Asked once per consumer of every completed in-flight producer:
+        # the kind slot and the frontier, no property or predicate call.
+        if producer.kind != KIND_LOAD:
             return READY
-        if self.shadows.is_nonspeculative(producer.seq):
+        seq = producer.seq
+        if self.shadows.frontier() >= seq:  # non-speculative
             return READY
         self.core.stats.delayed_propagations += 1
-        return producer.seq
+        return seq
 
     def check_invariants(self, core) -> list:
         """The lock must hold: nothing consumes a speculative load's value.

@@ -25,6 +25,7 @@ to reach its taint root, which is exactly the block-key contract of
 from __future__ import annotations
 
 from repro.schemes.base import (
+    INFINITE_SEQ,
     KIND_CBRANCH,
     KIND_JMP,
     KIND_LOAD,
@@ -50,24 +51,28 @@ class STT(SecureScheme):
 
     def is_tainted(self, taint: int) -> bool:
         """A taint root is cleared once it is non-speculative."""
-        return taint != UNTAINTED and self.shadows.is_speculative(taint)
+        return taint != UNTAINTED and self.shadows.frontier() < taint
 
+    # The gates below spell ``is_tainted`` out, since each runs once per
+    # transmitter: an untainted operand costs no call, a tainted one the
+    # frontier read.
     def load_block_seq(self, load: MicroOp) -> int:
         # load.taint holds the address-operand taint until the access
         # issues (the core then replaces it with the output taint).
-        if self.is_tainted(load.taint):
+        taint = load.taint
+        if taint != UNTAINTED and self.shadows.frontier() < taint:
             self.core.stats.delayed_transmitters += 1
-            return load.taint
+            return taint
         return READY
 
     def branch_block_seq(self, branch: MicroOp, operand_taint: int) -> int:
-        if self.is_tainted(operand_taint):
+        if operand_taint != UNTAINTED and self.shadows.frontier() < operand_taint:
             self.core.stats.delayed_transmitters += 1
             return operand_taint
         return READY
 
     def store_block_seq(self, store: MicroOp, operand_taint: int) -> int:
-        if self.is_tainted(operand_taint):
+        if operand_taint != UNTAINTED and self.shadows.frontier() < operand_taint:
             self.core.stats.delayed_transmitters += 1
             return operand_taint
         return READY
@@ -75,8 +80,9 @@ class STT(SecureScheme):
     def load_result_taint(self, load: MicroOp) -> int:
         """Speculatively issued loads produce tainted outputs rooted at
         themselves; non-speculative loads produce clean outputs."""
-        if self.shadows.is_speculative(load.seq):
-            return load.seq
+        seq = load.seq
+        if self.shadows.frontier() < seq:
+            return seq
         return UNTAINTED
 
     def check_invariants(self, core) -> list:
@@ -95,7 +101,10 @@ class STT(SecureScheme):
         problems = []
         # The sweep never moves the frontier: read it once.  A taint root
         # is live iff frontier < root; state < COMMITTED is "in flight".
+        # With no caster live (INFINITE_SEQ) no root is, so the producer
+        # cross-check cannot fire and is skipped; the range check can.
         frontier = self.shadows.frontier()
+        roots_live = frontier != INFINITE_SEQ
         for uop in core.rob:
             if uop.state == STATE_SQUASHED:
                 continue
@@ -105,7 +114,11 @@ class STT(SecureScheme):
                     f"uop seq={uop.seq} pc={uop.pc} carries impossible "
                     f"taint root {taint} (must lie in [0, seq])"
                 )
-            if uop.kind in _UNCHECKED_KINDS or uop.issue_cycle < 0:
+            if (
+                not roots_live
+                or uop.kind in _UNCHECKED_KINDS
+                or uop.issue_cycle < 0
+            ):
                 continue
             for producer in (uop.src1_uop, uop.src2_uop):
                 if producer is None or producer.state >= STATE_COMMITTED:

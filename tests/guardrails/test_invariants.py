@@ -20,6 +20,8 @@ from repro.common.errors import InvariantViolationError
 from repro.guardrails import InvariantChecker, smoke_program
 from repro.isa.instructions import Instruction, Opcode
 from repro.pipeline.core import Core
+from repro.pipeline.decode import decode_instruction
+from repro.pipeline.shadows import INFINITE_SEQ
 from repro.pipeline.uop import STATE_COMMITTED, STATE_COMPLETED, MicroOp, UopState
 from repro.schemes import SCHEME_LABELS, make_scheme
 
@@ -284,7 +286,8 @@ class Window:
         core = self.core
         seq = core.next_seq
         core.next_seq += 1
-        uop = MicroOp(seq, 40 + 3 * seq, _INSTRUCTIONS[kind], core.cycle)
+        dec = decode_instruction(_INSTRUCTIONS[kind], core.config)
+        uop = MicroOp(seq, 40 + 3 * seq, dec, core.cycle)
         for name, value in fields.items():
             setattr(uop, name, value)
         core.rob.append(uop)
@@ -773,6 +776,22 @@ class TestSchemeHookBoundaries:
         producer = w.add("alu", taint=branch.seq)
         w.add("alu", src1_uop=producer, issue_cycle=3)
         assert self.scheme_violations(w) == []
+
+    def test_stt_impossible_taint_with_no_caster_live(self):
+        """With no caster live the sweep skips its producer cross-check,
+        which cannot fire; the per-uop range check must still report."""
+        w = Window("stt")
+        below = w.add("alu", taint=-5)
+        producer = w.add("alu", taint=0)
+        above = w.add("alu", src1_uop=producer, issue_cycle=3)
+        above.taint = above.seq + 1
+        assert w.core.shadows.frontier() == INFINITE_SEQ
+        assert self.scheme_violations(w) == [
+            f"uop seq={below.seq} pc={below.pc} carries impossible taint "
+            f"root -5 (must lie in [0, seq])",
+            f"uop seq={above.seq} pc={above.pc} carries impossible taint "
+            f"root {above.seq + 1} (must lie in [0, seq])",
+        ]
 
     def test_stt_consumer_of_a_committed_producer(self):
         w = Window("stt")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa.instructions import Instruction, Opcode
+from repro.pipeline.decode import decode_instruction
 from repro.pipeline.uop import NO_FORWARD, UNTAINTED, MicroOp, UopState
 
 
@@ -15,7 +16,7 @@ def make(op=Opcode.ADD, **kwargs):
     if op in (Opcode.NOP, Opcode.HALT):
         defaults = {}
     defaults.update(kwargs)
-    return MicroOp(7, 3, Instruction(op, **defaults), cycle=11)
+    return MicroOp(7, 3, decode_instruction(Instruction(op, **defaults)), cycle=11)
 
 
 class TestLifecyclePredicates:

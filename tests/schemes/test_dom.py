@@ -118,11 +118,13 @@ class TestDoMAPRules:
         from repro.pipeline.uop import UNTAINTED
         from repro.schemes.base import READY
         from repro.isa.instructions import Instruction, Opcode
+        from repro.pipeline.decode import decode_instruction
         from repro.pipeline.uop import MicroOp
 
         scheme = make_scheme("dom")
         core = Core(speculative_miss_program(), scheme)
-        branch = MicroOp(50, 0, Instruction(Opcode.BEQ, rs1=1, rs2=2, imm=0), 0)
+        beq = decode_instruction(Instruction(Opcode.BEQ, rs1=1, rs2=2, imm=0))
+        branch = MicroOp(50, 0, beq, 0)
         core.shadows.branch_dispatched(10)  # older unresolved branch
         assert scheme.branch_block_seq(branch, UNTAINTED) == READY
 
@@ -130,11 +132,13 @@ class TestDoMAPRules:
         from repro.pipeline.uop import UNTAINTED
         from repro.schemes.base import READY
         from repro.isa.instructions import Instruction, Opcode
+        from repro.pipeline.decode import decode_instruction
         from repro.pipeline.uop import MicroOp
 
         scheme = make_scheme("dom+ap")
         core = Core(speculative_miss_program(), scheme)
-        branch = MicroOp(50, 0, Instruction(Opcode.BEQ, rs1=1, rs2=2, imm=0), 0)
+        beq = decode_instruction(Instruction(Opcode.BEQ, rs1=1, rs2=2, imm=0))
+        branch = MicroOp(50, 0, beq, 0)
         core.shadows.branch_dispatched(10)
         assert scheme.branch_block_seq(branch, UNTAINTED) == 50
         core.shadows.branch_resolved(10)

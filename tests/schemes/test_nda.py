@@ -84,9 +84,11 @@ class TestPermissivePropagation:
         core.run()
         # ALU producers are always READY under NDA regardless of shadows.
         from repro.isa.instructions import Instruction, Opcode
+        from repro.pipeline.decode import decode_instruction
         from repro.pipeline.uop import MicroOp
 
-        alu = MicroOp(10**9, 0, Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3), 0)
+        add = decode_instruction(Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3))
+        alu = MicroOp(10**9, 0, add, 0)
         assert scheme.value_block_seq(alu) == READY
 
 

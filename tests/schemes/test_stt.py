@@ -92,9 +92,12 @@ class TestTaintPropagation:
         core = Core(tainted_transmit_program(), scheme)
         # Before running anything the frontier is infinite.
         from repro.isa.instructions import Instruction, Opcode
+        from repro.pipeline.decode import decode_instruction
         from repro.pipeline.uop import MicroOp
 
-        load = MicroOp(1, 0, Instruction(Opcode.LOAD, rd=1, rs1=2), 0)
+        load = MicroOp(
+            1, 0, decode_instruction(Instruction(Opcode.LOAD, rd=1, rs1=2)), 0
+        )
         load.taint = UNTAINTED
         assert scheme.load_block_seq(load) == READY
 

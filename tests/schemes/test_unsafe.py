@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.pipeline.core import Core
+from repro.pipeline.decode import decode_instruction
 from repro.pipeline.uop import MicroOp, UNTAINTED
 from repro.schemes import make_scheme
 from repro.schemes.base import READY
@@ -22,9 +23,16 @@ class TestNoRestrictions:
     def test_all_hooks_ready(self, attached):
         core, scheme = attached
         core.shadows.branch_dispatched(1)  # speculation everywhere
-        load = MicroOp(10, 0, Instruction(Opcode.LOAD, rd=1, rs1=2), 0)
-        branch = MicroOp(11, 0, Instruction(Opcode.BEQ, rs1=1, rs2=2, imm=0), 0)
-        store = MicroOp(12, 0, Instruction(Opcode.STORE, rs2=1, rs1=2), 0)
+        load = MicroOp(
+            10, 0, decode_instruction(Instruction(Opcode.LOAD, rd=1, rs1=2)), 0
+        )
+        branch = MicroOp(
+            11, 0,
+            decode_instruction(Instruction(Opcode.BEQ, rs1=1, rs2=2, imm=0)), 0,
+        )
+        store = MicroOp(
+            12, 0, decode_instruction(Instruction(Opcode.STORE, rs2=1, rs1=2)), 0
+        )
         assert scheme.value_block_seq(load) == READY
         assert scheme.load_block_seq(load) == READY
         assert scheme.branch_block_seq(branch, UNTAINTED) == READY
